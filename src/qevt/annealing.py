@@ -1,9 +1,9 @@
 """Simulated-annealing baseline producing the classical reference energy.
 
 Single-flip Metropolis proposals with a geometric cooling schedule; one sweep
-proposes n flips.  Restarts run on independent derived RNG streams and the
+proposes n flips.  Each restart draws on its own derived RNG stream, and the
 final reduction (minimum energy, ties by smallest bitstring index) does not
-depend on restart order, so restarts could execute in parallel.
+depend on restart order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import numpy as np
 
 from .qubo import QuboInstance, bits_to_index, qubo_energy
 from .seeding import rng_from
-from .utils import thread_map
 
 DEFAULT_COOLING_RATE = 0.995
 DEFAULT_SWEEPS = 1000
@@ -89,10 +88,9 @@ def simulated_annealing(inst: QuboInstance, cfg: SaConfig) -> tuple[np.ndarray, 
     (recomputed, so incremental float drift cannot leak into reports).
     Deterministic for a fixed config seed.
     """
-    def one_restart(r: int):
+    results = []
+    for r in range(cfg.restarts):
         bits, _ = _anneal_once(inst, cfg, rng_from(cfg.seed, "sa-restart", r))
-        return qubo_energy(inst, bits), bits_to_index(bits), bits
-
-    results = thread_map(one_restart, range(cfg.restarts))
+        results.append((qubo_energy(inst, bits), bits_to_index(bits), bits))
     energy, _, bits = min(results, key=lambda t: (t[0], t[1]))
     return bits, float(energy)

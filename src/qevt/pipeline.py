@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -119,70 +119,19 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
     def to_dict(self) -> dict:
-        synth = None
-        if self.synthetic is not None:
-            synth = {
-                "n": self.synthetic.n,
-                "k": self.synthetic.k,
-                "style": self.synthetic.style,
-                "seed": self.synthetic.seed,
-                "magnitude": self.synthetic.magnitude,
-                "signal_to_noise": self.synthetic.signal_to_noise,
-                "penalty_weight": self.synthetic.penalty_weight,
-            }
-        ss = None
-        if self.sample_size is not None:
-            ss = {
-                "n_min": self.sample_size.n_min,
-                "n_max": self.sample_size.n_max,
-                "inner_draws": self.sample_size.inner_draws,
-                "outer_reps": self.sample_size.outer_reps,
-                "stride": self.sample_size.stride,
-                "level": self.sample_size.level,
-                "seed": self.sample_size.seed,
-                "mvsw_replicates": self.sample_size.mvsw_replicates,
-            }
-        return {
-            "instance_path": self.instance_path,
-            "synthetic": synth,
-            "sa": self.sa,
-            "qaoa_depth": self.qaoa_depth,
-            "qaoa_restarts": self.qaoa_restarts,
-            "qaoa_maxiter": self.qaoa_maxiter,
-            "initial_state": self.initial_state,
-            "readout_flip_prob": self.readout_flip_prob,
-            "shots_grid": list(self.shots_grid),
-            "runs": self.runs,
-            "alphas": list(self.alphas),
-            "sample_size": ss,
-            "pool_runs": self.pool_runs,
-            "y_ideal_override": self.y_ideal_override,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         payload = dict(payload)
-        synth = payload.get("synthetic")
-        if synth is not None:
-            synth = SyntheticSpec(**synth)
-        ss = payload.get("sample_size")
-        if ss is not None:
-            ss = SampleSizeConfig(**ss)
-        known = {
-            "instance_path", "sa", "qaoa_depth", "qaoa_restarts", "qaoa_maxiter",
-            "initial_state", "readout_flip_prob", "shots_grid", "runs", "alphas",
-            "pool_runs", "y_ideal_override", "seed",
-        }
-        extra = set(payload) - known - {"synthetic", "sample_size"}
+        extra = set(payload) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        kwargs = {k: payload[k] for k in known if k in payload}
-        if "shots_grid" in kwargs:
-            kwargs["shots_grid"] = tuple(kwargs["shots_grid"])
-        if "alphas" in kwargs:
-            kwargs["alphas"] = tuple(kwargs["alphas"])
-        return cls(synthetic=synth, sample_size=ss, **kwargs)
+        if payload.get("synthetic") is not None:
+            payload["synthetic"] = SyntheticSpec(**payload["synthetic"])
+        if payload.get("sample_size") is not None:
+            payload["sample_size"] = SampleSizeConfig(**payload["sample_size"])
+        return cls(**payload)
 
     def config_hash(self) -> str:
         canonical = json.dumps(jsonable(self.to_dict()), sort_keys=True)
@@ -245,13 +194,7 @@ def run_solve_sa(cfg: ExperimentConfig, out_dir) -> dict:
     payload = {
         "x": [int(b) for b in bits],
         "energy": energy,
-        "config": {
-            "initial_temperature": sa_cfg.initial_temperature,
-            "cooling_rate": sa_cfg.cooling_rate,
-            "sweeps": sa_cfg.sweeps,
-            "restarts": sa_cfg.restarts,
-            "seed": sa_cfg.seed,
-        },
+        "config": asdict(sa_cfg),
         "instance": desc,
         "provenance": _provenance(cfg, {"sa": sa_cfg.seed}),
     }
@@ -304,7 +247,12 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance
     return inst, y_ideal, params
 
 
-def _gev_density_svg(extremes: np.ndarray, fitted: GevParams, shots_s: int) -> str:
+def _gev_density_svg(
+    extremes: np.ndarray, fitted: GevParams, shots_s: int, hits: int, route: str
+) -> str:
+    """Histogram of the run minima under the fitted law; the title names the
+    hit count and the route the answer took, since with ``hit_rate`` the
+    plotted law is not where the answer came from."""
     lo, hi = float(extremes.min()), float(extremes.max())
     pad = 0.1 * (hi - lo or 1.0)
     xs = np.linspace(lo - pad, hi + pad, 200)
@@ -314,7 +262,10 @@ def _gev_density_svg(extremes: np.ndarray, fitted: GevParams, shots_s: int) -> s
         extremes,
         xs,
         ys,
-        title=f"Fitted extreme-value density, {shots_s} shots per run",
+        title=(
+            f"Fitted GEV density, s={shots_s} "
+            f"(hits {hits}/{extremes.size} at the baseline, answer via {route})"
+        ),
         xlabel="per-run minimum energy",
     )
 
@@ -404,7 +355,8 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
             )
         entry["estimates"] = estimates
         svg_name = f"gev_s{shots_s}.svg"
-        (out / svg_name).write_text(_gev_density_svg(extremes, fitted, shots_s))
+        svg = _gev_density_svg(extremes, fitted, shots_s, entry["hits"], estimates[0]["route"])
+        (out / svg_name).write_text(svg)
         entry["svg"] = svg_name
         per_shots.append(entry)
 
@@ -621,12 +573,6 @@ def run_sample_size(
                 cfg.initial_state,
             )
             pool_source = {"kind": "fresh", "shots_s": shots_s, "runs": cfg.pool_runs}
-    if ss_cfg.n_max >= pool.size:
-        raise ConfigError(
-            f"n_max={ss_cfg.n_max} must stay strictly below the pool size {pool.size}: "
-            "resampled subsets close to the full pool keep repeating the same "
-            "discrete values, and the normality test degenerates"
-        )
     theta_sim = reference_parameters(pool, ss_cfg.seed)
     result = estimate_required_extremes(pool, ss_cfg, theta_sim)
 
@@ -653,16 +599,7 @@ def run_sample_size(
     payload = {
         "pool": {"size": int(pool.size), **pool_source},
         "reference": {"mu": theta_sim.mu, "sigma": theta_sim.sigma, "xi": theta_sim.xi},
-        "config": {
-            "n_min": ss_cfg.n_min,
-            "n_max": ss_cfg.n_max,
-            "inner_draws": ss_cfg.inner_draws,
-            "outer_reps": ss_cfg.outer_reps,
-            "stride": ss_cfg.stride,
-            "level": ss_cfg.level,
-            "seed": ss_cfg.seed,
-            "mvsw_replicates": ss_cfg.mvsw_replicates,
-        },
+        "config": asdict(ss_cfg),
         "result": result.to_dict(),
         "provenance": _provenance(cfg, {"sample_size": ss_cfg.seed}),
     }

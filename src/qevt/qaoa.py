@@ -20,7 +20,6 @@ from scipy.stats import qmc
 from .errors import CapacityError
 from .qubo import IsingModel, QuboInstance, energy_table, ising_energy_table, to_ising
 from .seeding import derive_seed
-from .utils import thread_map
 
 MAX_QUBITS = 24
 
@@ -249,6 +248,29 @@ def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndar
     return indices ^ masks
 
 
+def _shot_sampler(state: np.ndarray, flip_prob: float):
+    """The one measurement step behind every sampler.
+
+    Builds the shot distribution of ``state`` once and returns
+    ``measure(count, shots_s, rng)``, which draws a (count, shots_s) array of
+    measured basis indices with readout flips applied.  ``rng.random((1, s))``
+    draws the same doubles as ``rng.random(s)``, so a generator gives the same
+    shots whichever sampler asks.
+    """
+    n = _num_qubits(state)
+    cdf = np.cumsum((state.conj() * state).real)
+    cdf /= cdf[-1]
+
+    def measure(count: int, shots_s: int, rng) -> np.ndarray:
+        idx = np.searchsorted(cdf, rng.random((count, shots_s)), side="right")
+        idx = np.minimum(idx, (1 << n) - 1)
+        if flip_prob > 0.0:
+            idx = _flip_indices(idx.ravel(), n, flip_prob, rng).reshape(count, shots_s)
+        return idx
+
+    return measure
+
+
 def sample_shots(
     state: np.ndarray,
     inst: QuboInstance,
@@ -269,15 +291,9 @@ def sample_shots(
         raise ValueError("state and instance dimensions disagree")
     if energies is None:
         energies = energy_table(inst)
-    probs = (state.conj() * state).real
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    indices = np.searchsorted(cdf, rng.random(shots_s), side="right")
-    indices = np.minimum(indices, (1 << n) - 1)
-    if noise.readout_flip_prob > 0.0:
-        indices = _flip_indices(indices, n, noise.readout_flip_prob, rng)
-    return ShotBatch(shots_s=shots_s, energies=energies[indices])
+    measure = _shot_sampler(state, noise.readout_flip_prob)
+    idx = measure(1, shots_s, np.random.default_rng(seed))
+    return ShotBatch(shots_s=shots_s, energies=energies[idx[0]])
 
 
 def collect_extreme_samples(
@@ -291,19 +307,21 @@ def collect_extreme_samples(
 ) -> np.ndarray:
     """Per-run minimum energies from ``runs`` independent runs of shots_s shots.
 
-    The circuit is prepared once; each run samples with its own derived seed.
+    The circuit, energy table and shot distribution are built once; run r
+    draws on its own generator seeded with ``derive_seed(seed, "extreme-run",
+    r)``, so its minimum equals that of :func:`sample_shots` with that seed.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    model = to_ising(inst)
-    state = circuit_state(model, params, variant)
+    if shots_s < 1:
+        raise ValueError("shots_s must be positive")
+    measure = _shot_sampler(circuit_state(to_ising(inst), params, variant), noise.readout_flip_prob)
     table = energy_table(inst)
-
-    def one_run(r: int) -> float:
-        batch = sample_shots(state, inst, shots_s, noise, derive_seed(seed, "extreme-run", r), table)
-        return batch.minimum
-
-    return np.asarray(thread_map(one_run, range(runs)), dtype=np.float64)
+    minima = np.empty(runs, dtype=np.float64)
+    for r in range(runs):
+        rng = np.random.default_rng(derive_seed(seed, "extreme-run", r))
+        minima[r] = table[measure(1, shots_s, rng)].min()
+    return minima
 
 
 def run_minima_batch(
@@ -322,22 +340,14 @@ def run_minima_batch(
     """
     if runs < 1 or shots_s < 1:
         raise ValueError("runs and shots_s must be positive")
-    n = _num_qubits(state)
     if energies is None:
         energies = energy_table(inst)
-    probs = (state.conj() * state).real
-    cdf = np.cumsum(probs)
-    cdf /= cdf[-1]
+    measure = _shot_sampler(state, noise.readout_flip_prob)
     rng = np.random.default_rng(seed)
     minima = np.empty(runs, dtype=np.float64)
     # chunked so trials * shots never materializes more than ~2M draws at once
     chunk = max(1, (1 << 21) // shots_s)
     for start in range(0, runs, chunk):
         count = min(chunk, runs - start)
-        idx = np.searchsorted(cdf, rng.random((count, shots_s)), side="right")
-        idx = np.minimum(idx, (1 << n) - 1)
-        if noise.readout_flip_prob > 0.0:
-            flat = _flip_indices(idx.ravel(), n, noise.readout_flip_prob, rng)
-            idx = flat.reshape(count, shots_s)
-        minima[start : start + count] = energies[idx].min(axis=1)
+        minima[start : start + count] = energies[measure(count, shots_s, rng)].min(axis=1)
     return minima

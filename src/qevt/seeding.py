@@ -2,8 +2,8 @@
 
 Every stochastic stage receives its own integer seed derived from one master
 seed plus a structural path (component name, stage name, loop indices).
-Stages are therefore reproducible independently of execution order, which
-keeps parallel and serial runs byte-identical.
+Stages are therefore reproducible independently of execution order: a stage
+can be rerun alone, or its loop reordered, and draw the same numbers.
 """
 
 from __future__ import annotations

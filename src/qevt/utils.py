@@ -1,38 +1,10 @@
-"""Small shared helpers: bounded thread mapping and JSON-safe conversion."""
+"""JSON-safe conversion of numpy values and infinities."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-THREADS_ENV_VAR = "QEVT_THREADS"
-
-
-def max_workers() -> int:
-    """Worker cap from the QEVT_THREADS environment variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
-def thread_map(fn, items):
-    """Map ``fn`` over ``items``, possibly on a bounded thread pool.
-
-    Results come back in input order regardless of completion order, so
-    callers stay deterministic under any worker count.
-    """
-    items = list(items)
-    workers = min(max_workers(), max(1, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def jsonable(value):

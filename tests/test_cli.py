@@ -4,7 +4,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy import stats as sps
 
@@ -87,7 +86,10 @@ class TestEstimatePipeline:
         assert (out / "qaoa_params.json").exists()
         for entry in report["per_shots"]:
             assert (out / entry["extremes_csv"]).exists()
-            assert (out / entry["svg"]).exists()
+            svg = (out / entry["svg"]).read_text()
+            route = entry["estimates"][0]["route"]
+            title = f"(hits {entry['hits']}/{cfg.runs} at the baseline, answer via {route})"
+            assert title in svg
             for est in entry["estimates"]:
                 assert 0.0 <= est["success_prob"] <= 1.0
 
@@ -290,15 +292,3 @@ class TestConfigFile:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "out/report.json").read_text())
         assert report["runs"] == 25
-
-
-def test_threads_env_var_does_not_change_results(tmp_path, monkeypatch):
-    from qevt.qaoa import QaoaParams, collect_extreme_samples
-    from qevt.qubo import generate_synthetic_q
-
-    inst = generate_synthetic_q(8, seed=2)
-    params = QaoaParams(2, [0.3, -0.4], [0.2, 0.1])
-    serial = collect_extreme_samples(inst, params, 60, 30, seed=5)
-    monkeypatch.setenv("QEVT_THREADS", "4")
-    threaded = collect_extreme_samples(inst, params, 60, 30, seed=5)
-    assert np.array_equal(serial, threaded)

@@ -31,6 +31,7 @@ from qevt.qubo import (
     ising_energy_table,
     to_ising,
 )
+from qevt.seeding import derive_seed
 
 
 def random_state(n, seed):
@@ -264,6 +265,29 @@ class TestExtremeSamples:
         few = collect_extreme_samples(inst, params, 100, 50, seed=10)
         many = collect_extreme_samples(inst, params, 2000, 50, seed=11)
         assert many.mean() <= few.mean()
+
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_each_run_is_sample_shots_on_its_csv_seed(self, flip):
+        # the seed column of extremes_s*.csv promises that run r reproduces
+        # alone through sample_shots with derive_seed(seed, "extreme-run", r)
+        inst = generate_synthetic_q(8, seed=5)
+        params = QaoaParams(2, [0.3, -0.4], [0.2, 0.1])
+        noise = NoiseConfig(flip)
+        minima = collect_extreme_samples(inst, params, 60, 25, noise, seed=7)
+        state = circuit_state(to_ising(inst), params)
+        per_run = [
+            sample_shots(state, inst, 60, noise, derive_seed(7, "extreme-run", r)).minimum
+            for r in range(25)
+        ]
+        assert minima.tolist() == per_run
+
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_one_batch_run_is_sample_shots_on_the_same_seed(self, flip):
+        inst = generate_synthetic_q(8, seed=6)
+        state = circuit_state(to_ising(inst), QaoaParams(1, [0.5], [0.4]))
+        noise = NoiseConfig(flip)
+        batched = run_minima_batch(state, inst, 80, 1, noise, seed=21)
+        assert batched[0] == sample_shots(state, inst, 80, noise, seed=21).minimum
 
     def test_batch_runs_match_distribution(self):
         # the vectorized batch sampler must agree with per-run sampling in law
