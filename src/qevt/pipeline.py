@@ -217,6 +217,13 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     )
 
 
+def _circuit_and_table(inst: QuboInstance, params: QaoaParams, cfg: ExperimentConfig):
+    """The circuit's statevector and the binary energy table of ``inst``,
+    built once per command and shared by every sampler call in it.  The
+    circuit runs on the Ising table, which the angles were tuned on."""
+    return circuit_state(to_ising(inst), params, cfg.initial_state), energy_table(inst)
+
+
 def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance, float, QaoaParams]:
     """Load instance/baseline/angles from ``out_dir`` or compute and persist them.
 
@@ -294,6 +301,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     if cfg.y_ideal_override is not None:
         y_ideal = float(cfg.y_ideal_override)
     noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
+    state, table = _circuit_and_table(inst, params, cfg)
 
     seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
     per_shots = []
@@ -303,7 +311,8 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
         extremes_seed = derive_seed(cfg.seed, "extremes", shots_s)
         seeds[f"extremes_s{shots_s}"] = extremes_seed
         extremes = collect_extreme_samples(
-            inst, params, shots_s, cfg.runs, noise, extremes_seed, cfg.initial_state
+            inst, params, shots_s, cfg.runs, noise, extremes_seed, cfg.initial_state,
+            state=state, energies=table,
         )
         csv_name = f"extremes_s{shots_s}.csv"
         write_csv(
@@ -408,7 +417,9 @@ def run_validate(
     For each offset delta, ``trials`` independent experiments of
     (n_evt + delta) runs each are simulated; the ratio is the fraction of
     experiments whose best run reached the baseline.  The curve should cross
-    the confidence level near delta = 0.
+    the confidence level near delta = 0.  Shots are drawn under the readout
+    noise the report records, the noise the estimate was made under, not
+    the one in ``cfg``.
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -428,9 +439,8 @@ def run_validate(
         n_evt = int(raw)
     inst = load_instance(out / "instance.json")
     params = QaoaParams.from_dict(report["qaoa_params"])
-    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    state = circuit_state(to_ising(inst), params, cfg.initial_state)
-    table = energy_table(inst)
+    noise = NoiseConfig(readout_flip_prob=float(report["noise"]["readout_flip_prob"]))
+    state, table = _circuit_and_table(inst, params, cfg)
 
     lo, hi = delta_range
     if lo > hi:
@@ -484,8 +494,7 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) ->
     out = Path(out_dir)
     inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
     noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    state = circuit_state(to_ising(inst), params, cfg.initial_state)
-    table = energy_table(inst)
+    state, table = _circuit_and_table(inst, params, cfg)
 
     points = []
     for shots_s in grid:
@@ -563,6 +572,7 @@ def run_sample_size(
         else:
             inst, _, params = ensure_stage_artifacts(cfg, out)
             noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
+            state, table = _circuit_and_table(inst, params, cfg)
             pool = collect_extreme_samples(
                 inst,
                 params,
@@ -571,6 +581,8 @@ def run_sample_size(
                 noise,
                 derive_seed(cfg.seed, "pool", shots_s),
                 cfg.initial_state,
+                state=state,
+                energies=table,
             )
             pool_source = {"kind": "fresh", "shots_s": shots_s, "runs": cfg.pool_runs}
     theta_sim = reference_parameters(pool, ss_cfg.seed)

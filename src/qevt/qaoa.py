@@ -242,10 +242,28 @@ def optimize_parameters(
     return QaoaParams(depth_p, best[:depth_p], best[depth_p:])
 
 
+_FLIP_BLOCK = 1 << 16
+
+
 def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndarray:
-    flips = rng.random((indices.size, n)) < flip_prob
-    masks = (flips.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
-    return indices ^ masks
+    """``indices`` with each of the n bits flipped independently with
+    probability ``flip_prob``.
+
+    The flip draws are taken ``_FLIP_BLOCK`` indices at a time into one
+    reused (block, n) buffer, row-major, so the generator yields the same
+    doubles in the same order as one ``rng.random((indices.size, n))`` draw;
+    each block's flips are packed into bytes and OR-ed into an integer mask.
+    """
+    out = np.array(indices, dtype=np.int64)
+    buf = np.empty((min(_FLIP_BLOCK, out.size), n))
+    for start in range(0, out.size, _FLIP_BLOCK):
+        m = min(_FLIP_BLOCK, out.size - start)
+        packed = np.packbits(rng.random(out=buf[:m]) < flip_prob, axis=1, bitorder="little")
+        mask = np.zeros(m, dtype=np.int64)
+        for b in range(packed.shape[1]):
+            mask |= packed[:, b].astype(np.int64) << (8 * b)
+        out[start : start + m] ^= mask
+    return out
 
 
 def _shot_sampler(state: np.ndarray, flip_prob: float):
@@ -253,20 +271,33 @@ def _shot_sampler(state: np.ndarray, flip_prob: float):
 
     Builds the shot distribution of ``state`` once and returns
     ``measure(count, shots_s, rng)``, which draws a (count, shots_s) array of
-    measured basis indices with readout flips applied.  ``rng.random((1, s))``
-    draws the same doubles as ``rng.random(s)``, so a generator gives the same
-    shots whichever sampler asks.
+    measured basis indices with readout flips applied.
+
+    Stream facts every sampler relies on: the uniforms are one
+    ``rng.random(count * shots_s)`` draw, the same doubles as
+    ``rng.random((count, shots_s))`` and, for count 1, as
+    ``rng.random(shots_s)``; the flip draws that follow come row-major in
+    blocks (see :func:`_flip_indices`), the same doubles as one
+    ``rng.random((count * shots_s, n))`` draw.  So a generator gives the same
+    shots whichever sampler asks and however the work is chunked.
+
+    The uniforms are searched in sorted order, so the search walks the CDF
+    forward instead of missing cache on every query; equal keys get equal
+    answers, so the indices are exactly those of an unsorted search.
     """
     n = _num_qubits(state)
     cdf = np.cumsum((state.conj() * state).real)
     cdf /= cdf[-1]
 
     def measure(count: int, shots_s: int, rng) -> np.ndarray:
-        idx = np.searchsorted(cdf, rng.random((count, shots_s)), side="right")
-        idx = np.minimum(idx, (1 << n) - 1)
+        u = rng.random(count * shots_s)
+        order = np.argsort(u)
+        idx = np.empty(u.size, dtype=np.int64)
+        idx[order] = np.searchsorted(cdf, u[order], side="right")
+        np.minimum(idx, (1 << n) - 1, out=idx)
         if flip_prob > 0.0:
-            idx = _flip_indices(idx.ravel(), n, flip_prob, rng).reshape(count, shots_s)
-        return idx
+            idx = _flip_indices(idx, n, flip_prob, rng)
+        return idx.reshape(count, shots_s)
 
     return measure
 
@@ -304,23 +335,35 @@ def collect_extreme_samples(
     noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
     variant: str = "minus",
+    *,
+    state: np.ndarray | None = None,
+    energies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-run minimum energies from ``runs`` independent runs of shots_s shots.
 
     The circuit, energy table and shot distribution are built once; run r
     draws on its own generator seeded with ``derive_seed(seed, "extreme-run",
     r)``, so its minimum equals that of :func:`sample_shots` with that seed.
+
+    ``state`` may carry the circuit's statevector (``circuit_state`` of
+    ``to_ising(inst)``, ``params`` and ``variant``) and ``energies`` the
+    binary table from :func:`energy_table`, so that a caller collecting at
+    several shots settings builds them once; either is built here when
+    omitted, and the minima are the same either way.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
-    measure = _shot_sampler(circuit_state(to_ising(inst), params, variant), noise.readout_flip_prob)
-    table = energy_table(inst)
+    if state is None:
+        state = circuit_state(to_ising(inst), params, variant)
+    if energies is None:
+        energies = energy_table(inst)
+    measure = _shot_sampler(state, noise.readout_flip_prob)
     minima = np.empty(runs, dtype=np.float64)
     for r in range(runs):
         rng = np.random.default_rng(derive_seed(seed, "extreme-run", r))
-        minima[r] = table[measure(1, shots_s, rng)].min()
+        minima[r] = energies[measure(1, shots_s, rng)].min()
     return minima
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 from scipy import stats as sps
 
+import qevt.pipeline
+import qevt.qaoa
 from qevt.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
@@ -15,7 +17,14 @@ from qevt.cli import (
     EXIT_UNREACHABLE,
     main,
 )
-from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_sample_size
+from qevt.pipeline import (
+    ExperimentConfig,
+    SyntheticSpec,
+    ensure_stage_artifacts,
+    run_estimate,
+    run_sample_size,
+    run_validate,
+)
 from qevt.sample_size import SampleSizeConfig
 
 
@@ -121,6 +130,24 @@ class TestEstimatePipeline:
         for name in files_a:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
+    def test_one_circuit_and_table_per_estimate(self, tmp_path, monkeypatch):
+        # every shots setting samples the same state; building it (and the
+        # energy table) once per setting was most of an n=18 estimate's time
+        cfg = fast_config(shots_grid=(50, 100, 200), runs=30)
+        ensure_stage_artifacts(cfg, tmp_path)
+        calls = {"circuit_state": 0, "energy_table": 0}
+        for module in (qevt.pipeline, qevt.qaoa):
+            for name in calls:
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        run_estimate(cfg, tmp_path)
+        assert calls == {"circuit_state": 1, "energy_table": 1}
+
     def test_degenerate_instance_exit_code(self, tmp_path, capsys):
         # tiny instance: every run finds the optimum, extremes collapse
         code = main([
@@ -165,6 +192,29 @@ class TestValidateCommand:
         assert all(0.0 <= point["ratio"] <= 1.0 for point in payload["curve"])
         assert (out / "validate_s100_a95.csv").exists()
         assert (out / "validate_s100_a95.svg").exists()
+
+    def test_samples_under_the_noise_of_the_estimate(self, tmp_path):
+        # validate has no --noise flag, so its config carries no readout noise;
+        # the draws must still follow the noise the report was estimated under
+        assert main([
+            "estimate", "--n", "8", "--instance-seed", "1", "--shots", "20", "--runs", "60",
+            "--noise", "0.3", "--seed", "3", "--out-dir", str(tmp_path),
+        ]) == EXIT_OK
+        assert main([
+            "validate", "--shots", "20", "--trials", "100", "--seed", "3",
+            "--out-dir", str(tmp_path),
+        ]) == EXIT_OK
+        from_cli = json.loads((tmp_path / "validate_s20_a95.json").read_text())
+        cfg = ExperimentConfig(
+            instance_path=str(tmp_path / "instance.json"), readout_flip_prob=0.3, seed=3
+        )
+        direct = run_validate(cfg, tmp_path, shots_s=20, alpha=0.95, trials=100)
+        # the config hashes differ by the noise field alone; all else must match
+        cli_hash = from_cli["provenance"].pop("config_hash")
+        direct_hash = direct["provenance"].pop("config_hash")
+        assert cli_hash != direct_hash
+        assert from_cli == json.loads(json.dumps(direct))
+        assert min(point["ratio"] for point in from_cli["curve"]) < 1.0
 
     def test_rejects_zero_trials(self, estimate_dir):
         out, cfg, _ = estimate_dir

@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from qevt.errors import CapacityError
 from qevt.qaoa import (
+    _FLIP_BLOCK,
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
@@ -19,6 +20,8 @@ from qevt.qaoa import (
     prepare_initial_state,
     run_minima_batch,
     sample_shots,
+    _flip_indices,
+    _shot_sampler,
 )
 from qevt.qubo import (
     IsingModel,
@@ -289,6 +292,18 @@ class TestExtremeSamples:
         batched = run_minima_batch(state, inst, 80, 1, noise, seed=21)
         assert batched[0] == sample_shots(state, inst, 80, noise, seed=21).minimum
 
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_passed_state_and_table_give_the_same_minima(self, flip):
+        inst = generate_synthetic_q(8, seed=7)
+        params = QaoaParams(2, [0.3, -0.4], [0.2, 0.1])
+        noise = NoiseConfig(flip)
+        built = collect_extreme_samples(inst, params, 60, 25, noise, seed=9, variant="plus")
+        passed = collect_extreme_samples(
+            inst, params, 60, 25, noise, seed=9, variant="plus",
+            state=circuit_state(to_ising(inst), params, "plus"), energies=energy_table(inst),
+        )
+        assert np.array_equal(built, passed)
+
     def test_batch_runs_match_distribution(self):
         # the vectorized batch sampler must agree with per-run sampling in law
         inst = generate_synthetic_q(8, seed=9)
@@ -298,6 +313,61 @@ class TestExtremeSamples:
         batched = run_minima_batch(state, inst, 50, 400, seed=13)
         ks = sps.ks_2samp(looped, batched)
         assert ks.pvalue > 0.01
+
+
+def reference_flip_indices(indices, n, flip_prob, rng):
+    """The readout-flip kernel as first written: one (size, n) draw."""
+    flips = rng.random((indices.size, n)) < flip_prob
+    masks = (flips.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
+    return indices ^ masks
+
+
+def reference_measure(state, flip_prob, count, shots_s, rng):
+    """The measurement step as first written: an unsorted search."""
+    n = int(np.log2(state.size))
+    cdf = np.cumsum((state.conj() * state).real)
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, rng.random((count, shots_s)), side="right")
+    idx = np.minimum(idx, (1 << n) - 1)
+    if flip_prob > 0.0:
+        idx = reference_flip_indices(idx.ravel(), n, flip_prob, rng).reshape(count, shots_s)
+    return idx
+
+
+BLOCK_SIZES = [1, _FLIP_BLOCK - 1, _FLIP_BLOCK + 1, 3 * _FLIP_BLOCK]
+
+
+class TestMeasurementKernel:
+    """The blocked flip kernel and the sorted search are exact rewrites: same
+    indices and the generator left at the same position, so no seed stream
+    moved with them."""
+
+    @pytest.mark.parametrize("flip", [0.02, 0.5])
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("n", [1, 8, 9, 18])
+    def test_flip_indices_match_reference(self, n, size, flip):
+        indices = np.random.default_rng(n * 7 + size).integers(0, 1 << n, size)
+        rng_a, rng_b = np.random.default_rng(size), np.random.default_rng(size)
+        got = _flip_indices(indices, n, flip, rng_a)
+        assert np.array_equal(got, reference_flip_indices(indices, n, flip, rng_b))
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("flip", [0.0, 0.02, 0.5])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, _FLIP_BLOCK - 1), (2, _FLIP_BLOCK // 2 + 1),
+                                       (3, _FLIP_BLOCK)])
+    @pytest.mark.parametrize("n, sparse", [(1, False), (8, False), (9, True), (18, True)])
+    def test_measure_matches_reference(self, n, sparse, shape, flip):
+        state = random_state(n, seed=n)
+        if sparse:
+            # zero-probability entries make runs of equal CDF values (ties)
+            state[np.random.default_rng(1).random(state.size) < 0.75] = 0.0
+            state[-1] = 0.0
+        count, shots_s = shape
+        rng_a, rng_b = np.random.default_rng(shots_s), np.random.default_rng(shots_s)
+        got = _shot_sampler(state, flip)(count, shots_s, rng_a)
+        assert got.shape == (count, shots_s)
+        assert np.array_equal(got, reference_measure(state, flip, count, shots_s, rng_b))
+        assert rng_a.random() == rng_b.random()
 
 
 class TestNoiseConfig:
