@@ -110,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--style", default="perf-delta")
     p.add_argument("--magnitude", type=float, default=0.05)
     p.add_argument("--signal-to-noise", type=float, default=3.0)
     p.add_argument("-o", "--output", type=Path, required=True)
@@ -231,7 +230,6 @@ def _dispatch(args) -> int:
         spec = SyntheticSpec(
             n=args.n,
             k=args.k,
-            style=args.style,
             seed=args.seed,
             magnitude=args.magnitude,
             signal_to_noise=args.signal_to_noise,

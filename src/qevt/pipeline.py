@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,6 @@ DEFAULT_DEPTH = 3
 class SyntheticSpec:
     n: int
     k: int | None = None
-    style: str = "perf-delta"
     seed: int = 0
     magnitude: float = 0.05
     signal_to_noise: float = 3.0
@@ -79,7 +78,6 @@ class SyntheticSpec:
     def build(self) -> QuboInstance:
         return generate_synthetic_q(
             n=self.n,
-            style=self.style,
             seed=self.seed,
             k=self.k,
             magnitude=self.magnitude,
@@ -124,18 +122,22 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         payload = dict(payload)
-        extra = set(payload) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        if payload.get("synthetic") is not None:
-            payload["synthetic"] = SyntheticSpec(**payload["synthetic"])
-        if payload.get("sample_size") is not None:
-            payload["sample_size"] = SampleSizeConfig(**payload["sample_size"])
-        return cls(**payload)
+        for name, block in (("synthetic", SyntheticSpec), ("sample_size", SampleSizeConfig)):
+            if payload.get(name) is not None:
+                payload[name] = _from_fields(block, payload[name], name)
+        return _from_fields(cls, payload, "config")
 
     def config_hash(self) -> str:
         canonical = json.dumps(jsonable(self.to_dict()), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _from_fields(cls, payload: dict, what: str):
+    """``cls(**payload)``, rejecting keys that are not fields of ``cls``."""
+    extra = set(payload) - {f.name for f in fields(cls)}
+    if extra:
+        raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
+    return cls(**payload)
 
 
 def write_json(path, payload) -> None:
@@ -169,8 +171,7 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[QuboInstance, dict]:
         inst = load_instance(cfg.instance_path)
         return inst, {"source": "file", "path": cfg.instance_path, "n": inst.n, "k": inst.k}
     inst = cfg.synthetic.build()
-    desc = {"source": "synthetic", "n": inst.n, "k": inst.k, "seed": cfg.synthetic.seed,
-            "style": cfg.synthetic.style}
+    desc = {"source": "synthetic", "n": inst.n, "k": inst.k, "seed": cfg.synthetic.seed}
     return inst, desc
 
 
@@ -218,10 +219,12 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
 
 
 def _circuit_and_table(inst: QuboInstance, params: QaoaParams, cfg: ExperimentConfig):
-    """The circuit's statevector and the binary energy table of ``inst``,
-    built once per command and shared by every sampler call in it.  The
-    circuit runs on the Ising table, which the angles were tuned on."""
-    return circuit_state(to_ising(inst), params, cfg.initial_state), energy_table(inst)
+    """The circuit's statevector and the energy table of ``inst``, built once
+    per command and shared by every sampler call in it.  The circuit's phases
+    come from the same table the shots are scored with, the one the angles
+    were tuned on."""
+    table = energy_table(inst)
+    return circuit_state(to_ising(inst), params, cfg.initial_state, energies=table), table
 
 
 def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance, float, QaoaParams]:
@@ -351,17 +354,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
             est = estimate_runs(extremes, fitted, y_ideal, alpha, shots_s)
             if not math.isfinite(est.n_evt):
                 any_unreachable = True
-            estimates.append(
-                {
-                    "alpha": est.alpha,
-                    "success_prob": est.success_prob,
-                    "n_evt": est.n_evt,
-                    "shots_s": est.shots_s,
-                    "total_shots": est.total_shots,
-                    "route": est.route,
-                    "fitted_prob": est.fitted_prob,
-                }
-            )
+            estimates.append(asdict(est))
         entry["estimates"] = estimates
         svg_name = f"gev_s{shots_s}.svg"
         svg = _gev_density_svg(extremes, fitted, shots_s, entry["hits"], estimates[0]["route"])
@@ -418,8 +411,8 @@ def run_validate(
     (n_evt + delta) runs each are simulated; the ratio is the fraction of
     experiments whose best run reached the baseline.  The curve should cross
     the confidence level near delta = 0.  Shots are drawn under the readout
-    noise the report records, the noise the estimate was made under, not
-    the one in ``cfg``.
+    noise the report records, the noise the estimate was made under, and
+    the provenance hashes ``cfg`` with that noise in place of its own.
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -437,9 +430,10 @@ def run_validate(
                 "the target is unreachable and cannot be validated"
             )
         n_evt = int(raw)
+    cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"])
     inst = load_instance(out / "instance.json")
     params = QaoaParams.from_dict(report["qaoa_params"])
-    noise = NoiseConfig(readout_flip_prob=float(report["noise"]["readout_flip_prob"]))
+    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
     state, table = _circuit_and_table(inst, params, cfg)
 
     lo, hi = delta_range

@@ -312,8 +312,9 @@ def sample_shots(
 ) -> ShotBatch:
     """Measure shots_s basis states, apply readout flips, record energies.
 
-    Energies are the binary objective of the (possibly flipped) bitstrings;
-    ``energies`` may carry a precomputed table from :func:`energy_table`.
+    Each shot's energy is read from the instance's energy table
+    (:func:`energy_table`, the one the circuit's phases come from) at the
+    possibly flipped bitstring; ``energies`` may carry that table prebuilt.
     """
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
@@ -341,24 +342,25 @@ def collect_extreme_samples(
 ) -> np.ndarray:
     """Per-run minimum energies from ``runs`` independent runs of shots_s shots.
 
-    The circuit, energy table and shot distribution are built once; run r
+    The energy table, circuit and shot distribution are built once; run r
     draws on its own generator seeded with ``derive_seed(seed, "extreme-run",
     r)``, so its minimum equals that of :func:`sample_shots` with that seed.
 
-    ``state`` may carry the circuit's statevector (``circuit_state`` of
-    ``to_ising(inst)``, ``params`` and ``variant``) and ``energies`` the
-    binary table from :func:`energy_table`, so that a caller collecting at
-    several shots settings builds them once; either is built here when
-    omitted, and the minima are the same either way.
+    ``energies`` may carry the instance's table from :func:`energy_table`
+    and ``state`` the circuit's statevector built on that table
+    (``circuit_state`` of ``to_ising(inst)``, ``params`` and ``variant``), so
+    that a caller collecting at several shots settings builds them once.
+    Either is built here when omitted, the circuit on the same table the
+    shots are scored with, and the minima are the same either way.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
-    if state is None:
-        state = circuit_state(to_ising(inst), params, variant)
     if energies is None:
         energies = energy_table(inst)
+    if state is None:
+        state = circuit_state(to_ising(inst), params, variant, energies=energies)
     measure = _shot_sampler(state, noise.readout_flip_prob)
     minima = np.empty(runs, dtype=np.float64)
     for r in range(runs):

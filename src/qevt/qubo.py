@@ -5,13 +5,16 @@ The binary objective is
     Y(x) = x^T Q x + w * (sum_i x_i - k)^2,      x in {0,1}^n,
 
 with a symmetric coefficient matrix Q, a cardinality target k and a penalty
-multiplier w (1.0 by default).  The equivalent spin form consumed by the
-statevector engine is
+multiplier w (1.0 by default).  The equivalent spin form is
 
     E(z) = offset + sum_i h_i z_i + sum_{i<j} J_ij z_i z_j,   z_i = 2 x_i - 1.
 
 The conversion is defined by exact energy equivalence on every bitstring;
-the offset absorbs all constant terms.
+the offset absorbs all constant terms.  An instance has one energy table,
+built from the spin form: the circuit's phases, the sampled shot energies
+and the brute-force oracle all read it.  It equals the binary objective to
+rounding, which the equivalence tests check against a binary-form
+reference.
 
 Bit-order convention, fixed project-wide: bit i of an integer basis-state
 index holds the value of variable x_i (little-endian).  The brute-force
@@ -91,6 +94,8 @@ class IsingModel:
             raise ValueError("offset must be finite")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
+        # float couplings keep J_ij * (z_i * z_j) in float64 for int8 spins
+        object.__setattr__(self, "j", {key: float(v) for key, v in self.j.items()})
         object.__setattr__(self, "offset", float(self.offset))
 
 
@@ -163,35 +168,34 @@ def _check_capacity(n: int):
 
 
 def energy_table(inst: QuboInstance) -> np.ndarray:
-    """Energies of all 2^n bitstrings, indexed by the little-endian encoding."""
-    _check_capacity(inst.n)
-    n, k, w = inst.n, inst.k, inst.penalty_weight
-    size = 1 << n
-    out = np.empty(size, dtype=np.float64)
-    shifts = np.arange(n, dtype=np.int64)
-    block = min(size, 1 << 16)
-    for start in range(0, size, block):
-        idx = np.arange(start, min(start + block, size), dtype=np.int64)
-        bits = ((idx[:, None] >> shifts) & 1).astype(np.float64)
-        quad = np.einsum("bi,ij,bj->b", bits, inst.q, bits)
-        out[start : start + idx.size] = quad + w * (bits.sum(axis=1) - k) ** 2
-    return out
+    """Energies of all 2^n bitstrings, indexed by the little-endian encoding.
+
+    This is the instance's one table, :func:`ising_energy_table` of
+    ``to_ising(inst)``: the angles are tuned on it, the circuit's phases and
+    the samplers' shot energies come from it.
+    """
+    return ising_energy_table(to_ising(inst))
 
 
 def ising_energy_table(model: IsingModel) -> np.ndarray:
-    """Spin energies of all 2^n basis states under z_i = 2 x_i - 1."""
+    """Spin energies of all 2^n basis states under z_i = 2 x_i - 1.
+
+    The spins are kept as int8 (+1/-1): each term ``h_i * z_i`` and
+    ``J_ij * (z_i * z_j)`` is then exactly +-h_i or +-J_ij, the same doubles
+    as with float spins, at an eighth of their memory.
+    """
     _check_capacity(model.n)
     n = model.n
     size = 1 << n
     out = np.full(size, model.offset, dtype=np.float64)
-    idx = np.arange(size, dtype=np.int64)
+    idx = np.arange(size, dtype=np.uint32)  # n <= MAX_EXACT_N < 32
     spins = []
     for i in range(n):
-        z = (2 * ((idx >> i) & 1) - 1).astype(np.float64)
+        z = ((idx >> i) & 1).astype(np.int8) * 2 - 1
         spins.append(z)
         out += model.h[i] * z
     for (a, b), v in model.j.items():
-        out += v * spins[a] * spins[b]
+        out += v * (spins[a] * spins[b])
     return out
 
 
@@ -208,7 +212,6 @@ def brute_force_minimum(inst: QuboInstance) -> tuple[np.ndarray, float]:
 
 def generate_synthetic_q(
     n: int,
-    style: str = "perf-delta",
     seed: int = 0,
     k: int | None = None,
     magnitude: float = 0.05,
@@ -217,10 +220,10 @@ def generate_synthetic_q(
 ) -> QuboInstance:
     """Deterministic synthetic instance with a non-trivial constrained landscape.
 
-    Style ``perf-delta`` mimics matrices built from differences of a bounded
-    performance metric: diagonal entries are single-variable deltas drawn
-    uniformly within ``magnitude``, off-diagonals are weaker pairwise deltas
-    within ``magnitude / signal_to_noise``.  Entries are continuous, so
+    The matrix mimics one built from differences of a bounded performance
+    metric: diagonal entries are single-variable deltas drawn uniformly
+    within ``magnitude``, off-diagonals are weaker pairwise deltas within
+    ``magnitude / signal_to_noise``.  Entries are continuous, so
     energy ties across bitstrings have probability zero.
 
     When ``k`` is omitted, a preset cardinality is used for the sizes the
@@ -229,8 +232,6 @@ def generate_synthetic_q(
     """
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
-    if style != "perf-delta":
-        raise ValueError(f"unknown generator style {style!r}")
     if magnitude <= 0 or signal_to_noise <= 0:
         raise ValueError("magnitude and signal_to_noise must be positive")
     if k is None:

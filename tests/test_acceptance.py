@@ -22,10 +22,11 @@ from qevt.pipeline import (
     run_validate,
 )
 from qevt.qaoa import NoiseConfig, OptimizerConfig, collect_extreme_samples, optimize_parameters
-from qevt.qubo import energy_table, generate_synthetic_q, ising_energy_table, to_ising
+from qevt.qubo import energy_table, generate_synthetic_q
 from qevt.sample_size import SampleSizeConfig, estimate_required_extremes, reference_parameters
 from qevt.seeding import derive_seed
 from qevt.stats import hotelling_t2, mvsw_null_stats, shapiro_wilk_multivariate
+from test_qubo import binary_energy_table
 
 
 def report(num: int, ok: bool, detail: str):
@@ -62,7 +63,7 @@ def test_criterion_01_qubo_ising_equivalence():
             n, seed=int(rng.integers(1_000_000)), k=int(rng.integers(0, n + 1)),
             magnitude=float(rng.uniform(0.02, 1.0)),
         )
-        gap = float(np.abs(energy_table(inst) - ising_energy_table(to_ising(inst))).max())
+        gap = float(np.abs(binary_energy_table(inst) - energy_table(inst)).max())
         worst = max(worst, gap)
     report(1, worst <= 1e-9, f"max |binary - spin| energy gap over 100 instances = {worst:.2e}")
 

@@ -16,7 +16,7 @@ import hashlib
 
 from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate
 
-EXPECTED_SHA256 = "41aed53d8d10e65b00a09b427fec1496eed185eaea903d887764417f99c26925"
+EXPECTED_SHA256 = "2e06c4e5b4c311f9bafd638009d3eca0a3dfd78f9c86e7722f362d465c88ca2a"
 
 
 def _digest(out) -> str:

@@ -1,0 +1,50 @@
+"""The benchmark's layer tracer still finds every function it wraps.
+
+``qevtbench.trace.Tracer`` rebinds functions by name in the ``qevt``
+module namespaces; renaming or moving one of them would otherwise surface
+only when the benchmark runs with tracing on.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate  # noqa: E402
+
+from qevtbench.trace import TRACED, Tracer  # noqa: E402
+
+
+def _qevt_bindings() -> dict:
+    return {
+        (mod_name, attr): value
+        for mod_name, module in list(sys.modules.items())
+        if mod_name == "qevt" or mod_name.startswith("qevt.")
+        for attr, value in vars(module).items()
+    }
+
+
+def test_tracer_wraps_every_traced_name_and_restores_them(tmp_path):
+    cfg = ExperimentConfig(
+        synthetic=SyntheticSpec(n=8, seed=1),
+        qaoa_restarts=1,
+        qaoa_maxiter=20,
+        shots_grid=(20,),
+        runs=30,
+        readout_flip_prob=0.02,
+        seed=2,
+        sa={"sweeps": 100, "restarts": 2},
+    )
+    before = _qevt_bindings()
+    with Tracer() as tracer:
+        for mod_name, fn_name, _, _ in TRACED:
+            bound = getattr(sys.modules[mod_name], fn_name)
+            assert getattr(bound, "__wrapped__", None) is before[(mod_name, fn_name)], fn_name
+        run_estimate(cfg, tmp_path)
+        run_validate(cfg, tmp_path, shots_s=20, alpha=0.95, delta_range=(0, 0), trials=20)
+    assert tracer.trace.calls("qubo.energy_table") >= 1
+    assert tracer.trace.calls("qaoa.circuit_state") >= 1
+    after = _qevt_bindings()
+    assert [key for key, value in before.items() if after.get(key) is not value] == []

@@ -148,6 +148,26 @@ class TestEstimatePipeline:
         run_estimate(cfg, tmp_path)
         assert calls == {"circuit_state": 1, "energy_table": 1}
 
+    def test_shots_are_scored_with_the_circuit_table(self, tmp_path, monkeypatch):
+        # one table per instance: the array the circuit's phases come from is
+        # the array every collection scores its shots with
+        cfg = fast_config(shots_grid=(50, 100), runs=30)
+        ensure_stage_artifacts(cfg, tmp_path)
+        tables = {"circuit_state": [], "collect_extreme_samples": []}
+        for name, seen in tables.items():
+            original = getattr(qevt.pipeline, name)
+
+            def recorded(*args, _seen=seen, _original=original, **kwargs):
+                _seen.append(kwargs.get("energies"))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(qevt.pipeline, name, recorded)
+        run_estimate(cfg, tmp_path)
+        (circuit_table,) = tables["circuit_state"]
+        assert circuit_table is not None
+        assert len(tables["collect_extreme_samples"]) == 2
+        assert all(t is circuit_table for t in tables["collect_extreme_samples"])
+
     def test_degenerate_instance_exit_code(self, tmp_path, capsys):
         # tiny instance: every run finds the optimum, extremes collapse
         code = main([
@@ -209,10 +229,7 @@ class TestValidateCommand:
             instance_path=str(tmp_path / "instance.json"), readout_flip_prob=0.3, seed=3
         )
         direct = run_validate(cfg, tmp_path, shots_s=20, alpha=0.95, trials=100)
-        # the config hashes differ by the noise field alone; all else must match
-        cli_hash = from_cli["provenance"].pop("config_hash")
-        direct_hash = direct["provenance"].pop("config_hash")
-        assert cli_hash != direct_hash
+        # the provenance names the config sampled under, so the hashes agree too
         assert from_cli == json.loads(json.dumps(direct))
         assert min(point["ratio"] for point in from_cli["curve"]) < 1.0
 
@@ -324,6 +341,17 @@ class TestConfigFile:
     def test_unknown_fields_rejected(self):
         with pytest.raises(Exception):
             ExperimentConfig.from_dict({"bogus": 1, "synthetic": {"n": 5}})
+
+    @pytest.mark.parametrize("block", ["synthetic", "sample_size"])
+    def test_unknown_nested_field_is_a_config_error(self, tmp_path, capsys, block):
+        # e.g. a config written before the generator's "style" key was removed
+        payload = {"synthetic": {"n": 6}, "seed": 1}
+        payload.setdefault(block, {})["style"] = "perf-delta"
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        code = main(["solve-sa", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert f"unknown {block} fields: ['style']" in capsys.readouterr().err
 
     def test_requires_exactly_one_instance_source(self):
         with pytest.raises(Exception):

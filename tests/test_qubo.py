@@ -37,6 +37,39 @@ def all_bitstrings(n):
     return [np.array(bits, dtype=np.int8) for bits in itertools.product([0, 1], repeat=n)]
 
 
+def binary_energy_table(inst):
+    """Reference: the binary form x^T Q x + w (sum x - k)^2 of every
+    bitstring, evaluated in blocks with einsum and never through
+    ``to_ising``, so comparing it with ``energy_table`` tests the conversion."""
+    n, k, w = inst.n, inst.k, inst.penalty_weight
+    size = 1 << n
+    out = np.empty(size, dtype=np.float64)
+    shifts = np.arange(n, dtype=np.int64)
+    block = min(size, 1 << 16)
+    for start in range(0, size, block):
+        idx = np.arange(start, min(start + block, size), dtype=np.int64)
+        bits = ((idx[:, None] >> shifts) & 1).astype(np.float64)
+        quad = np.einsum("bi,ij,bj->b", bits, inst.q, bits)
+        out[start : start + idx.size] = quad + w * (bits.sum(axis=1) - k) ** 2
+    return out
+
+
+def float_spin_table(model):
+    """Reference: the spin-form table with float64 spins and the terms
+    added in the same order as ``ising_energy_table``."""
+    size = 1 << model.n
+    out = np.full(size, model.offset, dtype=np.float64)
+    idx = np.arange(size, dtype=np.int64)
+    spins = []
+    for i in range(model.n):
+        z = (2 * ((idx >> i) & 1) - 1).astype(np.float64)
+        spins.append(z)
+        out += model.h[i] * z
+    for (a, b), v in model.j.items():
+        out += v * spins[a] * spins[b]
+    return out
+
+
 class TestQuboEnergy:
     def test_pure_penalty(self):
         inst = QuboInstance(n=2, q=np.zeros((2, 2)), k=2)
@@ -151,7 +184,18 @@ class TestToIsing:
 class TestEnergyTables:
     def test_tables_agree(self):
         inst = generate_synthetic_q(7, seed=11)
-        assert np.max(np.abs(energy_table(inst) - ising_energy_table(to_ising(inst)))) < 1e-9
+        assert np.max(np.abs(binary_energy_table(inst) - energy_table(inst))) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 13])
+    @pytest.mark.parametrize("w", [1.0, 2.5])
+    def test_int8_spins_give_the_float_spin_bits(self, n, w):
+        q = [[0.3]] if n == 1 else generate_synthetic_q(n, seed=n).q
+        inst = QuboInstance(n=n, q=q, k=n // 2, penalty_weight=w)
+        assert np.array_equal(energy_table(inst), float_spin_table(to_ising(inst)))
+
+    def test_integer_couplings_stay_in_float(self):
+        model = IsingModel(n=3, h=[0.5, 0.0, 1.0], j={(0, 1): 300, (1, 2): -2}, offset=1)
+        assert np.array_equal(ising_energy_table(model), float_spin_table(model))
 
     def test_table_matches_pointwise_energy(self):
         inst = generate_synthetic_q(5, seed=2)
@@ -205,10 +249,6 @@ class TestGenerator:
         assert np.max(np.abs(np.diag(inst.q))) <= 0.2
         off = inst.q - np.diag(np.diag(inst.q))
         assert np.max(np.abs(off)) <= 0.05 + 1e-15
-
-    def test_unknown_style(self):
-        with pytest.raises(ValueError, match="style"):
-            generate_synthetic_q(5, style="bogus")
 
     def test_cardinality_presets(self):
         assert generate_synthetic_q(10, seed=0).k == 8
@@ -286,7 +326,7 @@ class TestInvariants:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             inst = generate_synthetic_q(n, seed=int(rng.integers(10_000)), k=int(rng.integers(0, n + 1)))
-            diff = np.abs(energy_table(inst) - ising_energy_table(to_ising(inst)))
+            diff = np.abs(binary_energy_table(inst) - energy_table(inst))
             assert diff.max() < 1e-9
 
     def test_permutation_relabels_minimizers(self):
