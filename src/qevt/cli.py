@@ -280,7 +280,8 @@ def _dispatch(args) -> int:
                 n_evt=args.n_evt,
             )
             for point in payload["curve"]:
-                print(f"delta={point['delta']:+d} runs={point['runs']}: ratio={point['ratio']:.3f}")
+                print(f"delta={point['delta']:+d} runs={point['runs']}: ratio={point['ratio']:.3f} "
+                      f"(exact {point['exact_ratio']:.3f})")
             return EXIT_OK
         if args.command == "shot-sweep":
             payload = run_shot_sweep(cfg, out_dir, grid=args.shots, reps=args.reps)

@@ -35,8 +35,10 @@ from .qaoa import (
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
+    _run_minimum_law,
     circuit_state,
     collect_extreme_samples,
+    measured_distribution,
     optimize_parameters,
     run_minima_batch,
 )
@@ -381,6 +383,12 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
+def _any_hit(p: float, tries: int) -> float:
+    """P(at least one of ``tries`` independent tries succeeds), each with
+    probability ``p``: 1 - (1 - p)^tries, accurate for small p."""
+    return 1.0 if p >= 1.0 else -math.expm1(tries * math.log1p(-p))
+
+
 def _report_estimate(report: dict, shots_s: int, alpha: float) -> dict:
     for entry in report["per_shots"]:
         if entry["shots_s"] != shots_s:
@@ -410,9 +418,15 @@ def run_validate(
     For each offset delta, ``trials`` independent experiments of
     (n_evt + delta) runs each are simulated; the ratio is the fraction of
     experiments whose best run reached the baseline.  The curve should cross
-    the confidence level near delta = 0.  Shots are drawn under the readout
-    noise the report records, the noise the estimate was made under, and
-    the provenance hashes ``cfg`` with that noise in place of its own.
+    the confidence level near delta = 0.  Run minima are drawn from the exact
+    per-run minimum law under the readout noise the report records, the
+    noise the estimate was made under, and the provenance hashes ``cfg``
+    with that noise in place of its own.  Each offset draws on its own seed,
+    keyed by delta, so a point does not move with the requested range.
+
+    Next to each ratio the payload gives ``exact_ratio``,
+    1 - (1 - p_run)^runs, where ``p_run_exact`` is the exact probability that
+    one run meets the baseline (same tolerance as the estimator).
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -435,6 +449,9 @@ def run_validate(
     params = QaoaParams.from_dict(report["qaoa_params"])
     noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
     state, table = _circuit_and_table(inst, params, cfg)
+    probs = measured_distribution(state, noise.readout_flip_prob)
+    law = _run_minimum_law(probs, table)
+    p_run = _any_hit(float(probs[meets_baseline(table, y_ideal)].sum()), shots_s)
 
     lo, hi = delta_range
     if lo > hi:
@@ -444,21 +461,27 @@ def run_validate(
         runs_count = n_evt + delta
         if runs_count < 1:
             continue
-        seed = derive_seed(cfg.seed, "validate", shots_s, delta - lo)
+        seed = derive_seed(cfg.seed, "validate", shots_s, delta)
         minima = run_minima_batch(
-            state, inst, shots_s, runs_count * trials, noise, seed, table
+            state, inst, shots_s, runs_count * trials, seed=seed, law=law
         ).reshape(trials, runs_count)
         ratio = float(meets_baseline(minima.min(axis=1), y_ideal).mean())
-        curve.append({"delta": delta, "runs": runs_count, "ratio": ratio})
+        curve.append({"delta": delta, "runs": runs_count, "ratio": ratio,
+                      "exact_ratio": _any_hit(p_run, runs_count)})
 
     tag = f"s{shots_s}_a{int(round(alpha * 100))}"
     write_csv(
         out / f"validate_{tag}.csv",
-        ["delta", "runs", "ratio"],
-        [(c["delta"], c["runs"], repr(c["ratio"])) for c in curve],
+        ["delta", "runs", "ratio", "exact_ratio"],
+        [(c["delta"], c["runs"], repr(c["ratio"]), repr(c["exact_ratio"])) for c in curve],
     )
+    deltas = [c["delta"] for c in curve]
     svg = line_chart(
-        [{"x": [c["delta"] for c in curve], "y": [c["ratio"] for c in curve], "label": "empirical ratio"}],
+        [
+            {"x": deltas, "y": [c["ratio"] for c in curve], "label": "empirical ratio"},
+            {"x": deltas, "y": [c["exact_ratio"] for c in curve], "label": "exact ratio",
+             "dashed": True},
+        ],
         title=f"Success ratio vs run-count offset ({shots_s} shots per run)",
         xlabel="offset from estimated run count",
         ylabel="ratio",
@@ -471,6 +494,7 @@ def run_validate(
         "n_evt": n_evt,
         "trials": trials,
         "y_ideal": y_ideal,
+        "p_run_exact": p_run,
         "curve": curve,
         "provenance": _provenance(cfg, {"validate": derive_seed(cfg.seed, "validate", shots_s, 0)}),
     }
@@ -489,11 +513,12 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) ->
     inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
     noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
     state, table = _circuit_and_table(inst, params, cfg)
+    law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), table)
 
     points = []
     for shots_s in grid:
         minima = run_minima_batch(
-            state, inst, shots_s, reps, noise, derive_seed(cfg.seed, "sweep", shots_s), table
+            state, inst, shots_s, reps, seed=derive_seed(cfg.seed, "sweep", shots_s), law=law
         )
         points.append({"shots_s": shots_s, "mean_min_energy": float(minima.mean()), "reps": reps})
     write_csv(

@@ -5,6 +5,12 @@ diagonal in the computational basis), the mixer as a product of single-qubit
 e^{-i beta X} rotations.  Measurement sampling, optional readout bit-flip
 noise, and the collection of per-run minimum energies live here too.
 
+Two samplers serve two purposes.  The estimate path draws every shot
+(:func:`_shot_sampler`), so each run's minimum reproduces alone from the
+seed its CSV records.  Validation and the shot sweep only need per-run
+minima in law, and draw each from the exact per-run minimum law
+(:func:`_run_minimum_law`) with one uniform per run.
+
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
 """
@@ -267,19 +273,20 @@ def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndar
 
 
 def _shot_sampler(state: np.ndarray, flip_prob: float):
-    """The one measurement step behind every sampler.
+    """The shot-by-shot measurement step behind :func:`sample_shots` and
+    :func:`collect_extreme_samples`.
 
     Builds the shot distribution of ``state`` once and returns
     ``measure(count, shots_s, rng)``, which draws a (count, shots_s) array of
     measured basis indices with readout flips applied.
 
-    Stream facts every sampler relies on: the uniforms are one
+    Stream facts both samplers rely on: the uniforms are one
     ``rng.random(count * shots_s)`` draw, the same doubles as
     ``rng.random((count, shots_s))`` and, for count 1, as
     ``rng.random(shots_s)``; the flip draws that follow come row-major in
     blocks (see :func:`_flip_indices`), the same doubles as one
     ``rng.random((count * shots_s, n))`` draw.  So a generator gives the same
-    shots whichever sampler asks and however the work is chunked.
+    shots whichever of them asks and however the work is chunked.
 
     The uniforms are searched in sorted order, so the search walks the CDF
     forward instead of missing cache on every query; equal keys get equal
@@ -300,6 +307,53 @@ def _shot_sampler(state: np.ndarray, flip_prob: float):
         return idx.reshape(count, shots_s)
 
     return measure
+
+
+def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
+    """Probability of each measured basis index, readout flips included.
+
+    Independent per-bit flips act on the distribution as one 2x2 stochastic
+    map per bit, applied in place with the reshape of
+    :func:`apply_mixer_layer`: O(n 2^n).
+    """
+    n = _num_qubits(state)
+    probs = (state.conj() * state).real.copy()
+    if flip_prob == 0.0:
+        return probs
+    keep = 1.0 - flip_prob
+    for i in range(n):
+        view = probs.reshape(-1, 2, 1 << i)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = keep * a + flip_prob * b
+        view[:, 1, :] = flip_prob * a + keep * b
+    return probs
+
+
+def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
+    """The exact law of one run's minimum energy, built once.
+
+    ``probs`` is the measured distribution (:func:`measured_distribution`)
+    and ``energies`` the energy table it is scored with.  With F the per-shot
+    CDF over the stably sorted table, a run of s independent shots has
+    P(min <= e) = 1 - (1 - F(e))^s.  Returns ``draw(shots_s, runs, rng)``,
+    which inverts that law at ``rng.random(runs)``: one uniform per run, the
+    same minima in law as drawing every shot.
+    """
+    order = np.argsort(energies, kind="stable")
+    levels = energies[order]
+    cdf = np.cumsum(probs[order])
+    cdf /= cdf[-1]
+    # the last F is exactly 1, so log(1 - F) = -inf and the law reaches 1
+    # there: every uniform in [0, 1) finds a level
+    with np.errstate(divide="ignore"):
+        log_survival = np.log1p(-cdf)
+
+    def draw(shots_s: int, runs: int, rng) -> np.ndarray:
+        law = -np.expm1(shots_s * log_survival)
+        return levels[np.searchsorted(law, rng.random(runs), side="right")]
+
+    return draw
 
 
 def sample_shots(
@@ -377,22 +431,24 @@ def run_minima_batch(
     noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
     energies: np.ndarray | None = None,
+    *,
+    law=None,
 ) -> np.ndarray:
-    """Vectorized batch of per-run minima for Monte Carlo validation sweeps.
+    """Per-run minima of ``runs`` independent runs of shots_s shots, for Monte
+    Carlo validation sweeps.
 
-    Statistically equivalent to ``runs`` independent shot batches, drawn from
-    a single RNG stream in run-major order.
+    Statistically equivalent to ``runs`` independent shot batches: each
+    minimum is drawn from the exact per-run minimum law
+    (:func:`_run_minimum_law`) with one uniform of ``default_rng(seed)``,
+    in run order.  ``law`` may carry that sampler prebuilt from the state's
+    :func:`measured_distribution` under ``noise`` and the table, so that a
+    caller drawing at several settings builds it once; ``state``,
+    ``noise`` and ``energies`` are then unused.
     """
     if runs < 1 or shots_s < 1:
         raise ValueError("runs and shots_s must be positive")
-    if energies is None:
-        energies = energy_table(inst)
-    measure = _shot_sampler(state, noise.readout_flip_prob)
-    rng = np.random.default_rng(seed)
-    minima = np.empty(runs, dtype=np.float64)
-    # chunked so trials * shots never materializes more than ~2M draws at once
-    chunk = max(1, (1 << 21) // shots_s)
-    for start in range(0, runs, chunk):
-        count = min(chunk, runs - start)
-        minima[start : start + count] = energies[measure(count, shots_s, rng)].min(axis=1)
-    return minima
+    if law is None:
+        if energies is None:
+            energies = energy_table(inst)
+        law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), energies)
+    return law(shots_s, runs, np.random.default_rng(seed))

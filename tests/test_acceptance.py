@@ -5,6 +5,7 @@ to exercise the relevant regime (rich extreme-value spectra, adequate QAOA
 concentration); all seeds are pinned, so every check is deterministic.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -34,6 +35,19 @@ def report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
+@functools.lru_cache(maxsize=None)
+def tuned_instance(n, inst_seed, master_seed):
+    """Instance, tuned angles and SA baseline of one (n, instance seed, master
+    seed).  They depend on nothing else, so criteria that sample one instance
+    at several shots settings or noise levels tune it once."""
+    inst = generate_synthetic_q(n, seed=inst_seed)
+    params = optimize_parameters(inst, 3, OptimizerConfig(seed=master_seed))
+    _, y_ideal = simulated_annealing(
+        inst, default_sa_config(inst, seed=derive_seed(master_seed, "sa", inst_seed))
+    )
+    return inst, params, y_ideal
+
+
 def estimate_n_evt(n, inst_seed, shots_s, alpha, noise_p=0.0, runs=200, master_seed=0):
     """Estimation pipeline distilled to the number it produces.
 
@@ -41,11 +55,7 @@ def estimate_n_evt(n, inst_seed, shots_s, alpha, noise_p=0.0, runs=200, master_s
     streams; the run count itself comes from the pipeline's estimator,
     :func:`qevt.gev.estimate_runs`, not from a copy of its logic.
     """
-    inst = generate_synthetic_q(n, seed=inst_seed)
-    params = optimize_parameters(inst, 3, OptimizerConfig(seed=master_seed))
-    _, y_ideal = simulated_annealing(
-        inst, default_sa_config(inst, seed=derive_seed(master_seed, "sa", inst_seed))
-    )
+    inst, params, y_ideal = tuned_instance(n, inst_seed, master_seed)
     minima = collect_extreme_samples(
         inst, params, shots_s, runs, NoiseConfig(noise_p),
         seed=derive_seed(master_seed, "extremes", inst_seed, shots_s, int(noise_p * 1000)),

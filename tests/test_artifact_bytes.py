@@ -1,27 +1,30 @@
 """Frozen artifact bytes of one small noisy estimate followed by a validation.
 
-Every seed stream of the samplers feeds these files: the per-run minima of
-``collect_extreme_samples`` (``extremes_s*.csv``), the fits and run counts
-built on them (``report.json``) and the batched validation draws of
-``run_minima_batch`` (``validate_*.json``, large enough to span several
-readout-flip blocks).  A change that moves any stream -- another draw order
-in the measurement or flip kernels, another energy table, another seed
-derivation -- or that changes the report layout or the package version
-changes the hash below.  Such a change must be deliberate: update
-``EXPECTED_SHA256`` in the same commit and say in CHANGES.md why the bytes
-moved.
+Two hashes, one per sampler:
+
+- ``ESTIMATE_SHA256`` covers ``report.json`` and ``extremes_s*.csv``.  Their
+  per-run minima come from ``collect_extreme_samples``, which draws every
+  shot and its readout flips, and the fits and run counts are built on them.
+- ``VALIDATE_SHA256`` covers ``validate_*.json``.  Its run minima come from
+  ``run_minima_batch``, which draws one uniform per run from the exact
+  per-run minimum law.
+
+A change that moves any stream -- another draw order in the measurement,
+flip or law kernels, another energy table, another seed derivation -- or
+that changes the report layout or the package version changes a hash below.
+Such a change must be deliberate: update the constant in the same commit and
+say in CHANGES.md why the bytes moved.
 """
 
 import hashlib
 
 from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate
 
-EXPECTED_SHA256 = "2e06c4e5b4c311f9bafd638009d3eca0a3dfd78f9c86e7722f362d465c88ca2a"
+ESTIMATE_SHA256 = "75973191e10256c2039438063469a99773d97a595eea398e8085a51b3f1b7958"
+VALIDATE_SHA256 = "25ef8631cc6a779365c1215ca44f4c5b239134b0ec22a074a9c1f66a65cd90e8"
 
 
-def _digest(out) -> str:
-    names = ["report.json", *sorted(p.name for p in out.glob("extremes_s*.csv")),
-             *sorted(p.name for p in out.glob("validate_*.json"))]
+def _digest(out, names) -> str:
     digest = hashlib.sha256()
     for name in names:
         digest.update(name.encode())
@@ -43,4 +46,7 @@ def test_noisy_n10_estimate_and_validate_bytes_are_frozen(tmp_path):
     run_estimate(cfg, tmp_path)
     payload = run_validate(cfg, tmp_path, shots_s=50, alpha=0.95, delta_range=(-1, 1), trials=400)
     assert sum(c["runs"] for c in payload["curve"]) * 400 * 50 > 1 << 16
-    assert _digest(tmp_path) == EXPECTED_SHA256
+    estimate = ["report.json", *sorted(p.name for p in tmp_path.glob("extremes_s*.csv"))]
+    assert _digest(tmp_path, estimate) == ESTIMATE_SHA256
+    validate = sorted(p.name for p in tmp_path.glob("validate_*.json"))
+    assert _digest(tmp_path, validate) == VALIDATE_SHA256

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats as sps
 
@@ -21,10 +22,13 @@ from qevt.pipeline import (
     ExperimentConfig,
     SyntheticSpec,
     ensure_stage_artifacts,
+    meets_baseline,
     run_estimate,
     run_sample_size,
     run_validate,
 )
+from qevt.qaoa import QaoaParams, circuit_state
+from qevt.qubo import energy_table, load_instance, to_ising
 from qevt.sample_size import SampleSizeConfig
 
 
@@ -232,6 +236,52 @@ class TestValidateCommand:
         # the provenance names the config sampled under, so the hashes agree too
         assert from_cli == json.loads(json.dumps(direct))
         assert min(point["ratio"] for point in from_cli["curve"]) < 1.0
+
+    def test_point_does_not_move_with_the_range(self, estimate_dir):
+        # each offset draws on the seed of its own delta, so rerunning a
+        # narrower range redraws the same numbers at the offsets it shares
+        out, cfg, _ = estimate_dir
+        curves = [
+            {p["delta"]: p for p in run_validate(cfg, out, shots_s=100, alpha=0.90,
+                                                 delta_range=span, trials=400)["curve"]}
+            for span in ((-1, 1), (-3, 3))
+        ]
+        assert curves[0][0]["ratio"] == curves[1][0]["ratio"]
+        assert 0.0 < curves[0][0]["ratio"] < 1.0
+
+    def test_exact_curve_next_to_the_ratios(self, estimate_dir):
+        out, cfg, report = estimate_dir
+        payload = run_validate(cfg, out, shots_s=100, alpha=0.95, trials=400)
+        inst = load_instance(out / "instance.json")
+        state = circuit_state(to_ising(inst), QaoaParams.from_dict(report["qaoa_params"]))
+        p_shot = float((np.abs(state) ** 2)[meets_baseline(energy_table(inst), report["y_ideal"])].sum())
+        assert payload["p_run_exact"] == pytest.approx(1.0 - (1.0 - p_shot) ** 100, rel=1e-9)
+        for point in payload["curve"]:
+            exact = point["exact_ratio"]
+            assert exact == pytest.approx(1.0 - (1.0 - payload["p_run_exact"]) ** point["runs"],
+                                          rel=1e-9)
+            assert abs(point["ratio"] - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / 400)
+        header = (out / "validate_s100_a95.csv").read_text().splitlines()[0]
+        assert header == "delta,runs,ratio,exact_ratio"
+        assert "exact ratio" in (out / "validate_s100_a95.svg").read_text()
+
+    def test_one_law_per_validation(self, estimate_dir, monkeypatch):
+        # every offset draws from the same run-minimum law; building it is
+        # the O(2^n log 2^n) part, drawing one uniform per run the cheap one
+        out, cfg, _ = estimate_dir
+        calls = {"_run_minimum_law": 0, "measured_distribution": 0}
+        for module in (qevt.pipeline, qevt.qaoa):
+            for name in calls:
+                original = getattr(module, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        payload = run_validate(cfg, out, shots_s=100, alpha=0.95, delta_range=(-3, 3), trials=20)
+        assert len(payload["curve"]) == 7
+        assert calls == {"_run_minimum_law": 1, "measured_distribution": 1}
 
     def test_rejects_zero_trials(self, estimate_dir):
         out, cfg, _ = estimate_dir

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from qevt.errors import CapacityError
@@ -16,11 +18,13 @@ from qevt.qaoa import (
     circuit_state,
     collect_extreme_samples,
     expectation_energy,
+    measured_distribution,
     optimize_parameters,
     prepare_initial_state,
     run_minima_batch,
     sample_shots,
     _flip_indices,
+    _run_minimum_law,
     _shot_sampler,
 )
 from qevt.qubo import (
@@ -284,13 +288,29 @@ class TestExtremeSamples:
         ]
         assert minima.tolist() == per_run
 
+    @pytest.mark.parametrize("shots_s", [1, 80])
     @pytest.mark.parametrize("flip", [0.0, 0.1])
-    def test_one_batch_run_is_sample_shots_on_the_same_seed(self, flip):
+    def test_batch_run_r_inverts_the_law_at_uniform_r(self, flip, shots_s):
+        # the stream fact of the batch sampler: run r is the exact per-run
+        # minimum law inverted at the r-th double of default_rng(seed)
         inst = generate_synthetic_q(8, seed=6)
         state = circuit_state(to_ising(inst), QaoaParams(1, [0.5], [0.4]))
         noise = NoiseConfig(flip)
-        batched = run_minima_batch(state, inst, 80, 1, noise, seed=21)
-        assert batched[0] == sample_shots(state, inst, 80, noise, seed=21).minimum
+        batched = run_minima_batch(state, inst, shots_s, 500, noise, seed=21)
+        uniforms = np.random.default_rng(21).random(500)
+        expected = reference_run_minima(
+            reference_measured_distribution(state, flip), energy_table(inst), shots_s, uniforms
+        )
+        assert np.array_equal(batched, expected)
+
+    @pytest.mark.parametrize("flip", [0.0, 0.1])
+    def test_prebuilt_law_gives_the_same_minima(self, flip):
+        inst = generate_synthetic_q(8, seed=6)
+        table = energy_table(inst)
+        state = circuit_state(to_ising(inst), QaoaParams(1, [0.5], [0.4]), energies=table)
+        law = _run_minimum_law(measured_distribution(state, flip), table)
+        built = run_minima_batch(state, inst, 30, 200, NoiseConfig(flip), seed=4)
+        assert np.array_equal(run_minima_batch(state, inst, 30, 200, seed=4, law=law), built)
 
     @pytest.mark.parametrize("flip", [0.0, 0.1])
     def test_passed_state_and_table_give_the_same_minima(self, flip):
@@ -313,6 +333,68 @@ class TestExtremeSamples:
         batched = run_minima_batch(state, inst, 50, 400, seed=13)
         ks = sps.ks_2samp(looped, batched)
         assert ks.pvalue > 0.01
+
+
+def reference_measured_distribution(state, flip_prob):
+    """The readout-flip channel as an explicit 2^n x 2^n matrix: the
+    Kronecker product of one 2x2 stochastic map per bit, bit 0 last."""
+    n = int(np.log2(state.size))
+    bit = np.array([[1.0 - flip_prob, flip_prob], [flip_prob, 1.0 - flip_prob]])
+    channel = np.ones((1, 1))
+    for _ in range(n):
+        channel = np.kron(bit, channel)
+    return channel @ np.abs(state) ** 2
+
+
+def reference_run_minima(probs, table, shots_s, uniforms):
+    """Per-run minima by enumeration of the distinct levels: the smallest
+    level e with 1 - (1 - P(E <= e))^s above the uniform."""
+    levels = np.unique(table)
+    law = np.array([1.0 - (1.0 - probs[table <= e].sum()) ** shots_s for e in levels])
+    return levels[np.minimum(np.searchsorted(law, uniforms, side="right"), levels.size - 1)]
+
+
+class TestMeasuredDistribution:
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("flip", [0.0, 0.02, 0.5])
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_matches_the_explicit_channel(self, n, flip, variant):
+        params = QaoaParams(2, [0.7, -0.3], [0.4, 0.9])
+        state = circuit_state(to_ising(generate_synthetic_q(n, seed=n)), params, variant)
+        probs = measured_distribution(state, flip)
+        assert np.allclose(probs, reference_measured_distribution(state, flip), rtol=0, atol=1e-12)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestRunMinimumLaw:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 6),
+        inst_seed=st.integers(0, 1000),
+        flip=st.sampled_from([0.0, 0.02, 0.3]),
+        shots_s=st.sampled_from([1, 7, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empirical_cdf_within_five_sigma(self, n, inst_seed, flip, shots_s, seed):
+        # rounded energies put several basis states on one level, as the
+        # penalty terms of real instances do
+        table = np.round(energy_table(generate_synthetic_q(n, seed=inst_seed)), 1)
+        state = random_state(n, inst_seed)
+        probs = reference_measured_distribution(state, flip)
+        runs = 40_000
+        minima = _run_minimum_law(measured_distribution(state, flip), table)(
+            shots_s, runs, np.random.default_rng(seed)
+        )
+        for level in np.unique(table):
+            exact = min(1.0, 1.0 - (1.0 - probs[table <= level].sum()) ** shots_s)
+            empirical = float((minima <= level).mean())
+            assert abs(empirical - exact) <= 5.0 * np.sqrt(exact * (1.0 - exact) / runs) + 1e-12
+
+    def test_minima_are_table_levels_with_mass(self):
+        table = np.array([3.0, -1.0, 2.0, -1.0])
+        probs = np.array([0.5, 0.0, 0.5, 0.0])
+        minima = _run_minimum_law(probs, table)(5, 1000, np.random.default_rng(0))
+        assert set(minima.tolist()) == {2.0, 3.0}
 
 
 def reference_flip_indices(indices, n, flip_prob, rng):
