@@ -26,6 +26,20 @@ routes to the success probability:
 * ``gev``: when no run meets it, the fitted law's tail extrapolated to
   y_ideal (:func:`estimate_shots`), which is what the extreme-value model
   is for.
+
+Fitting is maximum likelihood by bounded L-BFGS-B from several shape
+starts.  :func:`fit_gev_minima_batch` runs every (sample, start) pair as
+one lane with its own state of scipy's L-BFGS-B kernel (``setulb``); the
+lanes advance in lockstep and each round evaluates the likelihood once,
+vectorised over every lane that asked.  The driver around the kernel is
+``scipy.optimize.minimize``'s, step for step (same memory, tolerances,
+line-search and iteration limits, one evaluation at the start, none
+repeated at an unchanged point), and the vectorised likelihood gives each
+lane the doubles of a one-lane evaluation, so a batch returns exactly what
+fitting each sample alone through ``minimize`` returns.  That bit-exactness
+is the point: with xi < -1 the likelihood is unbounded and the fits move
+far under last-bit changes, so a different optimizer would move every
+bootstrap triple.  :func:`fit_gev_minima` is a batch of one.
 """
 
 from __future__ import annotations
@@ -189,57 +203,88 @@ def jitter(energies, seed: int = 0) -> JitteredSamples:
 
 def gev_nll(params: GevParams, maxima) -> float:
     """Negative log-likelihood of maxima-domain data under the law."""
-    value, _ = _nll_and_grad(
-        np.array([params.mu, params.sigma, params.xi]), np.asarray(maxima, dtype=np.float64)
-    )
-    return float(value)
+    theta = np.array([[params.mu, params.sigma, params.xi]])
+    value, _ = _nll_and_grad_lanes(theta, np.asarray(maxima, dtype=np.float64)[None, :])
+    return float(value[0])
 
 
-def _nll_and_grad(theta: np.ndarray, y: np.ndarray):
-    mu, sigma, xi = theta
-    m = y.size
-    if sigma <= 0.0:
-        return _PENALTY * (1.0 + abs(sigma)), np.array([0.0, -_PENALTY, 0.0])
-    u = (y - mu) / sigma
-    if abs(xi) < GUMBEL_XI_EPS:
-        e = np.exp(-u)
-        nll = m * np.log(sigma) + u.sum() + e.sum()
-        dmu = (-m + e.sum()) / sigma
-        dsigma = (m - u.sum() + (u * e).sum()) / sigma
-        # exact limit of the shape derivative as xi -> 0, keeps the switch smooth
-        dxi = (u - 0.5 * u * u * (1.0 - e)).sum()
-        return nll, np.array([dmu, dsigma, dxi])
-    t = 1.0 + xi * u
-    bad = t <= _SUPPORT_EPS
-    if bad.any():
-        # graded penalty whose gradient pushes the support constraint back
-        viol = (_SUPPORT_EPS - t[bad]).sum()
-        f = _PENALTY * (1.0 + viol)
-        g = _PENALTY * np.array(
-            [
-                (xi / sigma) * bad.sum(),
-                (xi / sigma) * u[bad].sum(),
-                -u[bad].sum(),
-            ]
-        )
-        return f, g
-    logt = np.log(t)
-    # cap the exponent: far-off iterates would overflow, and a huge finite
-    # value steers the optimizer back just as well
-    w = np.exp(np.minimum(-logt / xi, 500.0))
-    inv_t = 1.0 / t
-    nll = m * np.log(sigma) + (1.0 + 1.0 / xi) * logt.sum() + w.sum()
-    s1 = inv_t.sum()
-    s2 = (u * inv_t).sum()
-    sw1 = (w * inv_t).sum()
-    sw2 = (w * u * inv_t).sum()
-    dmu = (-(1.0 + xi) * s1 + sw1) / sigma
-    dsigma = (m - (1.0 + xi) * s2 + sw2) / sigma
-    dxi = -logt.sum() / xi**2 + (1.0 + 1.0 / xi) * s2 + (w * logt).sum() / xi**2 - sw2 / xi
-    grad = np.array([dmu, dsigma, dxi])
-    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
-        return _PENALTY * 2.0, np.zeros(3)
-    return nll, grad
+def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
+    """Negative log-likelihood and its gradient for every lane at once.
+
+    Row k of ``theta`` holds (mu, sigma, xi) and row k of ``y`` the maxima of
+    lane k.  Returns the values (L,) and gradients (L, 3).
+
+    Each lane gets the doubles a one-lane evaluation would give: the
+    elementwise steps are the same IEEE operations on every row, each sum is
+    a whole-row sum (the pairwise sum of a 1-D array), and ``xi`` squared is
+    ``np.float_power``, the libm ``pow`` of a scalar ``xi ** 2`` (an array's
+    ``** 2`` is a multiply, which differs in the last bit for about one
+    value in a thousand).  Lanes outside the support take a graded penalty
+    computed lane by lane, since its sums run over the violating entries
+    only.
+    """
+    mu, sigma, xi = theta.T.copy()
+    n_lanes, m = y.shape
+    f = np.empty(n_lanes)
+    g = np.empty((n_lanes, 3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = (y - mu[:, None]) / sigma[:, None]
+        t = 1.0 + xi[:, None] * u
+        scale_bad = sigma <= 0.0
+        gumbel = ~scale_bad & (np.abs(xi) < GUMBEL_XI_EPS)
+        outside = ~scale_bad & ~gumbel & (t <= _SUPPORT_EPS).any(axis=1)
+        regular = ~(scale_bad | gumbel | outside)
+
+        for k in np.flatnonzero(scale_bad):
+            f[k] = _PENALTY * (1.0 + abs(sigma[k]))
+            g[k] = (0.0, -_PENALTY, 0.0)
+        for k in np.flatnonzero(outside):
+            # graded penalty whose gradient pushes the support constraint back
+            bad = t[k] <= _SUPPORT_EPS
+            u_bad = u[k][bad]
+            f[k] = _PENALTY * (1.0 + (_SUPPORT_EPS - t[k][bad]).sum())
+            ratio = xi[k] / sigma[k]
+            g[k] = _PENALTY * np.array([ratio * bad.sum(), ratio * u_bad.sum(), -u_bad.sum()])
+
+        if gumbel.any():
+            lanes = np.flatnonzero(gumbel)
+            ug, sg = u[lanes], sigma[lanes]
+            e = np.exp(-ug)
+            su, se = ug.sum(axis=1), e.sum(axis=1)
+            f[lanes] = m * np.log(sg) + su + se
+            g[lanes, 0] = (-m + se) / sg
+            g[lanes, 1] = (m - su + (ug * e).sum(axis=1)) / sg
+            # exact limit of the shape derivative as xi -> 0, keeps the switch smooth
+            g[lanes, 2] = (ug - 0.5 * ug * ug * (1.0 - e)).sum(axis=1)
+
+        if regular.any():
+            lanes = np.flatnonzero(regular)
+            ur, tr, sr, xr = u[lanes], t[lanes], sigma[lanes], xi[lanes]
+            logt = np.log(tr)
+            # cap the exponent: far-off iterates would overflow, and a huge
+            # finite value steers the optimizer back just as well
+            w = np.exp(np.minimum(-logt / xr[:, None], 500.0))
+            inv_t = 1.0 / tr
+            slog = logt.sum(axis=1)
+            s1 = inv_t.sum(axis=1)
+            s2 = (ur * inv_t).sum(axis=1)
+            sw1 = (w * inv_t).sum(axis=1)
+            sw2 = (w * ur * inv_t).sum(axis=1)
+            xi_sq = np.float_power(xr, 2)
+            value = m * np.log(sr) + (1.0 + 1.0 / xr) * slog + w.sum(axis=1)
+            grad = np.stack(
+                [
+                    (-(1.0 + xr) * s1 + sw1) / sr,
+                    (m - (1.0 + xr) * s2 + sw2) / sr,
+                    -slog / xi_sq + (1.0 + 1.0 / xr) * s2 + (w * logt).sum(axis=1) / xi_sq
+                    - sw2 / xr,
+                ],
+                axis=1,
+            )
+            finite = np.isfinite(value) & np.isfinite(grad).all(axis=1)
+            f[lanes] = np.where(finite, value, _PENALTY * 2.0)
+            g[lanes] = np.where(finite[:, None], grad, 0.0)
+    return f, g
 
 
 def _support_ok(theta: np.ndarray, y: np.ndarray) -> bool:
@@ -251,6 +296,178 @@ def _support_ok(theta: np.ndarray, y: np.ndarray) -> bool:
     return bool(np.all(1.0 + xi * (y - mu) / sigma > 0.0))
 
 
+# scipy.optimize.minimize(method="L-BFGS-B") defaults, plus FIT_MAXITER
+_LBFGSB_MAXCOR = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
+FIT_MAXITER = 200
+
+# L-BFGS-B task codes (task[0] states, task[1] stop reasons)
+_TASK_NEW_X, _TASK_FG, _TASK_STOP = 1, 3, 5
+_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+
+# setulb's bound kind per parameter: mu none, sigma lower only, xi both
+_BOUND_KINDS = np.array([0, 1, 2], dtype=np.int32)
+
+
+class _Lane:
+    """One L-BFGS-B run: scipy's ``setulb`` state plus the bookkeeping of
+    ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` and its memoizing
+    objective wrapper (the point last evaluated, its value and gradient)."""
+
+    __slots__ = ("x", "lower", "upper", "f", "g", "wa", "iwa", "task", "ln_task",
+                 "lsave", "isave", "dsave", "nit", "nfev", "x_eval", "f_eval", "g_eval")
+
+    def __init__(self, x, lower, upper, f_eval, g_eval):
+        n, m = x.size, _LBFGSB_MAXCOR
+        self.x, self.lower, self.upper = x, lower, upper
+        self.f = 0.0
+        self.g = np.zeros(n)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, dtype=np.int32)
+        self.task = np.zeros(2, dtype=np.int32)
+        self.ln_task = np.zeros(2, dtype=np.int32)
+        self.lsave = np.zeros(4, dtype=np.int32)
+        self.isave = np.zeros(44, dtype=np.int32)
+        self.dsave = np.zeros(29)
+        self.nit = 0
+        self.nfev = 1
+        # the point as a list: list equality is np.array_equal's on three
+        # floats (NaN never equal, -0.0 == 0.0) at a tenth of the cost
+        self.x_eval, self.f_eval, self.g_eval = x.tolist(), f_eval, g_eval
+
+    def advance(self, setulb) -> bool:
+        """Step until the lane wants f and g at a new point (True) or stops.
+
+        A request at the point last evaluated is answered from memory, and
+        each new iterate counts toward FIT_MAXITER and the evaluation budget,
+        exactly as scipy's driver does.
+        """
+        while True:
+            setulb(_LBFGSB_MAXCOR, self.x, self.lower, self.upper, _BOUND_KINDS, self.f, self.g,
+                   _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave,
+                   self.isave, self.dsave, _LBFGSB_MAXLS, self.ln_task)
+            state = self.task[0]
+            if state == _TASK_FG:
+                if self.x.tolist() != self.x_eval:
+                    return True
+                self.f = self.f_eval
+                self.g[:] = self.g_eval
+            elif state == _TASK_NEW_X:
+                self.nit += 1
+                if self.nit >= FIT_MAXITER:
+                    self.task[:] = (_TASK_STOP, _STOP_MAXITER)
+                elif self.nfev > _LBFGSB_MAXFUN:
+                    self.task[:] = (_TASK_STOP, _STOP_MAXFUN)
+            else:
+                return False
+
+    def take(self, f_eval, g_eval) -> None:
+        self.nfev += 1
+        self.x_eval, self.f_eval, self.g_eval = self.x.tolist(), f_eval, g_eval
+        self.f = f_eval
+        self.g[:] = g_eval
+
+    def message(self) -> str:
+        lbfgsb = optimize._lbfgsb_py
+        return f"{lbfgsb.status_messages[self.task[0]]}: {lbfgsb.task_messages[self.task[1]]}"
+
+
+def _minimize_lanes(x0: np.ndarray, y: np.ndarray) -> list:
+    """Bounded L-BFGS-B of the GEV likelihood from every row of ``x0``.
+
+    Lane k starts at ``x0[k]`` = (mu0, sigma0, xi0) on maxima ``y[k]``, with
+    the fit's bounds: mu free, sigma >= 1e-8 sigma0, XI_MIN <= xi <= XI_MAX.
+    Every lane runs its own ``setulb`` state; the lanes advance in lockstep,
+    and each round evaluates the likelihood once for all lanes that asked.
+    Each lane takes the path of ``scipy.optimize.minimize(_, x0[k],
+    jac=True, method="L-BFGS-B", bounds=..., options={"maxiter":
+    FIT_MAXITER})`` step for step and ends at the same ``x`` with the same
+    ``fun`` (the value last evaluated).  Returns the lanes.
+    """
+    setulb = optimize._lbfgsb.setulb
+    n_lanes = x0.shape[0]
+    lower = np.column_stack([np.full(n_lanes, -np.inf), 1e-8 * x0[:, 1], np.full(n_lanes, XI_MIN)])
+    x = np.clip(x0, lower, [np.inf, np.inf, XI_MAX])
+    # setulb reads 0 for an absent bound, as scipy passes it
+    lower[:, 0] = 0.0
+    upper = np.array([0.0, 0.0, XI_MAX])
+    f0, g0 = _nll_and_grad_lanes(x, y)
+    lanes = [_Lane(x[k], lower[k], upper, f0[k], g0[k]) for k in range(n_lanes)]
+    waiting = [k for k, lane in enumerate(lanes) if lane.advance(setulb)]
+    while waiting:
+        idx = np.array(waiting)
+        f, g = _nll_and_grad_lanes(x[idx], y[idx])
+        for j, k in enumerate(waiting):
+            lanes[k].take(f[j], g[j])
+        waiting = [k for k in waiting if lanes[k].advance(setulb)]
+    return lanes
+
+
+def fit_gev_minima_batch(samples_list) -> list:
+    """:func:`fit_gev_minima` of every entry of ``samples_list`` in one batch.
+
+    Returns, per entry, its :class:`GevParams` or the
+    :class:`~qevt.errors.QevtError` that :func:`fit_gev_minima` would raise
+    for it.  Every (sample, start) pair of FIT_XI_STARTS is one lane of
+    :func:`_minimize_lanes`, and samples of one size share the lockstep, so
+    a bootstrap's refits cost one vectorised likelihood per round instead of
+    one scipy driver per start.  The lanes reproduce scipy's L-BFGS-B
+    bit for bit, so each entry is exactly the fit a lone
+    ``scipy.optimize.minimize`` loop over the starts would return.
+    """
+    results: list = [None] * len(samples_list)
+    by_size: dict[int, list] = {}
+    for i, samples in enumerate(samples_list):
+        values = np.asarray(samples.values, dtype=np.float64)
+        if values.size < MIN_FIT_SAMPLES:
+            results[i] = InsufficientSamplesError(
+                f"need at least {MIN_FIT_SAMPLES} samples for a stable fit, got {values.size}"
+            )
+            continue
+        y = -values
+        spread = float(y.std(ddof=1))
+        if spread == 0.0:
+            results[i] = DegenerateSamplesError("samples have zero variance")
+            continue
+        by_size.setdefault(y.size, []).append((i, y, spread))
+
+    n_starts = len(FIT_XI_STARTS)
+    for entries in by_size.values():
+        x0, ys = [], []
+        for _, y, spread in entries:
+            sigma0 = spread * math.sqrt(6.0) / math.pi
+            mu0 = float(y.mean()) - EULER_GAMMA * sigma0
+            for xi0 in FIT_XI_STARTS:
+                x0.append((mu0, sigma0, xi0))
+                ys.append(y)
+        lanes = _minimize_lanes(np.array(x0), np.array(ys))
+        for s, (i, y, _) in enumerate(entries):
+            results[i] = _best_start(lanes[s * n_starts:(s + 1) * n_starts], y)
+    return results
+
+
+def _best_start(lanes, y: np.ndarray):
+    """The best-ranked start that ended finite and inside the support, or
+    the :class:`FitFailureError` when no start did."""
+    results = []
+    diagnostics = []
+    for idx, (xi0, lane) in enumerate(zip(FIT_XI_STARTS, lanes)):
+        theta = lane.x
+        if np.all(np.isfinite(theta)) and math.isfinite(lane.f) and _support_ok(theta, y):
+            results.append((float(lane.f), idx, theta))
+        else:
+            diagnostics.append(f"start xi={xi0}: {lane.message()} (fun={lane.f})")
+    if not results:
+        return FitFailureError(
+            f"GEV fit failed from all {len(FIT_XI_STARTS)} starts", diagnostics=diagnostics
+        )
+    _, _, best = min(results, key=lambda t: (t[0], t[1]))
+    return GevParams(mu=float(best[0]), sigma=float(best[1]), xi=float(best[2]))
+
+
 def fit_gev_minima(samples: JitteredSamples) -> GevParams:
     """Maximum-likelihood GEV parameters for block minima.
 
@@ -259,46 +476,18 @@ def fit_gev_minima(samples: JitteredSamples) -> GevParams:
     :func:`success_probability` for queries about the original minima).
 
     Initialization is Gumbel method-of-moments on the negated data, with
-    multi-starts over shape values FIT_XI_STARTS; candidates are ranked by
-    negative log-likelihood, ties by start index.
-    """
-    values = np.asarray(samples.values, dtype=np.float64)
-    if values.size < MIN_FIT_SAMPLES:
-        raise InsufficientSamplesError(
-            f"need at least {MIN_FIT_SAMPLES} samples for a stable fit, got {values.size}"
-        )
-    y = -values
-    spread = float(y.std(ddof=1))
-    if spread == 0.0:
-        raise DegenerateSamplesError("samples have zero variance")
-    sigma0 = spread * math.sqrt(6.0) / math.pi
-    mu0 = float(y.mean()) - EULER_GAMMA * sigma0
-    bounds = [(None, None), (1e-8 * sigma0, None), (XI_MIN, XI_MAX)]
+    bounded L-BFGS-B multi-starts over shape values FIT_XI_STARTS.  The
+    starts are ranked by the objective value L-BFGS-B evaluated last, ties
+    by start index.  That value is the likelihood at the returned point
+    only when the run converged: after an abnormal line search it is the
+    rejected trial's, often a support penalty of 1e8 or more.
 
-    results = []
-    diagnostics = []
-    for idx, xi0 in enumerate(FIT_XI_STARTS):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            res = optimize.minimize(
-                _nll_and_grad,
-                np.array([mu0, sigma0, xi0]),
-                args=(y,),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={"maxiter": 200},
-            )
-        theta = res.x
-        if np.all(np.isfinite(theta)) and math.isfinite(res.fun) and _support_ok(theta, y):
-            results.append((float(res.fun), idx, theta))
-        else:
-            diagnostics.append(f"start xi={xi0}: {res.message} (fun={res.fun})")
-    if not results:
-        raise FitFailureError(
-            f"GEV fit failed from all {len(FIT_XI_STARTS)} starts", diagnostics=diagnostics
-        )
-    _, _, best = min(results, key=lambda t: (t[0], t[1]))
-    return GevParams(mu=float(best[0]), sigma=float(best[1]), xi=float(best[2]))
+    A batch of one for :func:`fit_gev_minima_batch`, so both take one path.
+    """
+    result = fit_gev_minima_batch([samples])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def success_probability(params: GevParams, y_ideal: float) -> float:

@@ -277,16 +277,14 @@ def _shot_sampler(state: np.ndarray, flip_prob: float):
     :func:`collect_extreme_samples`.
 
     Builds the shot distribution of ``state`` once and returns
-    ``measure(count, shots_s, rng)``, which draws a (count, shots_s) array of
-    measured basis indices with readout flips applied.
+    ``measure(shots_s, rng)``, which draws the measured basis indices of
+    ``shots_s`` shots with readout flips applied.
 
     Stream facts both samplers rely on: the uniforms are one
-    ``rng.random(count * shots_s)`` draw, the same doubles as
-    ``rng.random((count, shots_s))`` and, for count 1, as
-    ``rng.random(shots_s)``; the flip draws that follow come row-major in
-    blocks (see :func:`_flip_indices`), the same doubles as one
-    ``rng.random((count * shots_s, n))`` draw.  So a generator gives the same
-    shots whichever of them asks and however the work is chunked.
+    ``rng.random(shots_s)`` draw; the flip draws that follow come row-major
+    in blocks (see :func:`_flip_indices`), the same doubles as one
+    ``rng.random((shots_s, n))`` draw.  So a generator gives the same shots
+    whichever of them asks and however the work is chunked.
 
     The uniforms are searched in sorted order, so the search walks the CDF
     forward instead of missing cache on every query; equal keys get equal
@@ -296,15 +294,15 @@ def _shot_sampler(state: np.ndarray, flip_prob: float):
     cdf = np.cumsum((state.conj() * state).real)
     cdf /= cdf[-1]
 
-    def measure(count: int, shots_s: int, rng) -> np.ndarray:
-        u = rng.random(count * shots_s)
+    def measure(shots_s: int, rng) -> np.ndarray:
+        u = rng.random(shots_s)
         order = np.argsort(u)
         idx = np.empty(u.size, dtype=np.int64)
         idx[order] = np.searchsorted(cdf, u[order], side="right")
         np.minimum(idx, (1 << n) - 1, out=idx)
         if flip_prob > 0.0:
             idx = _flip_indices(idx, n, flip_prob, rng)
-        return idx.reshape(count, shots_s)
+        return idx
 
     return measure
 
@@ -378,8 +376,8 @@ def sample_shots(
     if energies is None:
         energies = energy_table(inst)
     measure = _shot_sampler(state, noise.readout_flip_prob)
-    idx = measure(1, shots_s, np.random.default_rng(seed))
-    return ShotBatch(shots_s=shots_s, energies=energies[idx[0]])
+    idx = measure(shots_s, np.random.default_rng(seed))
+    return ShotBatch(shots_s=shots_s, energies=energies[idx])
 
 
 def collect_extreme_samples(
@@ -419,7 +417,7 @@ def collect_extreme_samples(
     minima = np.empty(runs, dtype=np.float64)
     for r in range(runs):
         rng = np.random.default_rng(derive_seed(seed, "extreme-run", r))
-        minima[r] = energies[measure(1, shots_s, rng)].min()
+        minima[r] = energies[measure(shots_s, rng)].min()
     return minima
 
 

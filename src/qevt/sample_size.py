@@ -8,6 +8,11 @@ multivariate Shapiro-Wilk test for normality of the estimates.  Regression
 lines through the per-n average p-values locate the smallest n where both
 tests clear the significance level; since the mean test presupposes
 normality, the final estimate is whichever crossing is larger.
+
+All refits of one n run as one :func:`~qevt.gev.fit_gev_minima_batch`:
+every draw keeps its own draw and jitter seeds, and the batch reproduces
+each lone fit bit for bit, so the triples, their order and the failure
+counts are those of fitting the draws one by one.
 """
 
 from __future__ import annotations
@@ -20,11 +25,10 @@ from .errors import (
     ConfigError,
     DegenerateSamplesError,
     EstimationImpossibleError,
-    FitFailureError,
     InsufficientSamplesError,
     SingularCovarianceError,
 )
-from .gev import GevParams, fit_gev_minima, jitter
+from .gev import GevParams, fit_gev_minima, fit_gev_minima_batch, jitter
 from .seeding import derive_seed
 from .stats import (
     crossing_sample_size,
@@ -149,19 +153,26 @@ def estimate_required_extremes(
         p_ht2_cells: list[float] = []
         p_mst_cells: list[float] = []
         failed = 0
+        # every draw of this n is jittered here and refitted in one batch;
+        # each draw keeps its own seeds, so batching does not change a triple
+        jittered, owners = [], []
         for j in range(cfg.outer_reps):
-            triples = []
             for i in range(cfg.inner_draws):
                 rng = np.random.default_rng(derive_seed(cfg.seed, "draw", n, j, i))
                 subset = y[rng.integers(0, y.size, size=n)]
                 try:
-                    fitted = fit_gev_minima(
-                        jitter(subset, derive_seed(cfg.seed, "jitter", n, j, i))
-                    )
-                except (DegenerateSamplesError, FitFailureError, InsufficientSamplesError):
+                    jittered.append(jitter(subset, derive_seed(cfg.seed, "jitter", n, j, i)))
+                except DegenerateSamplesError:
                     failed += 1
                     continue
-                triples.append([fitted.mu, fitted.sigma, fitted.xi])
+                owners.append(j)
+        triples_by_rep: list[list] = [[] for _ in range(cfg.outer_reps)]
+        for j, fitted in zip(owners, fit_gev_minima_batch(jittered)):
+            if not isinstance(fitted, GevParams):
+                failed += 1
+                continue
+            triples_by_rep[j].append([fitted.mu, fitted.sigma, fitted.xi])
+        for triples in triples_by_rep:
             if len(triples) <= PARAM_DIM:
                 continue
             arr = np.asarray(triples)

@@ -1,6 +1,7 @@
-"""Frozen artifact bytes of one small noisy estimate followed by a validation.
+"""Frozen artifact bytes of one small noisy estimate followed by a validation,
+and of one sample-size run.
 
-Two hashes, one per sampler:
+The estimate and the validation have one hash per sampler:
 
 - ``ESTIMATE_SHA256`` covers ``report.json`` and ``extremes_s*.csv``.  Their
   per-run minima come from ``collect_extreme_samples``, which draws every
@@ -14,14 +15,31 @@ flip or law kernels, another energy table, another seed derivation -- or
 that changes the report layout or the package version changes a hash below.
 Such a change must be deliberate: update the constant in the same commit and
 say in CHANGES.md why the bytes moved.
+
+``SAMPLE_SIZE_SHA256`` covers ``sample_size.json`` of the bootstrap procedure
+on a pool where one level holds 88% of the mass, so some n=20 resamples are
+constant and fail at the jitter, and those cells refit with fewer triples
+than ``inner_draws``.  Any change to a fitted bootstrap triple, to the order
+of the draws or to the multivariate Shapiro-Wilk statistic moves it.
 """
 
 import hashlib
 
-from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate
+import numpy as np
+
+from qevt.pipeline import (
+    ExperimentConfig,
+    SyntheticSpec,
+    run_estimate,
+    run_sample_size,
+    run_validate,
+    write_csv,
+)
+from qevt.sample_size import SampleSizeConfig
 
 ESTIMATE_SHA256 = "75973191e10256c2039438063469a99773d97a595eea398e8085a51b3f1b7958"
 VALIDATE_SHA256 = "25ef8631cc6a779365c1215ca44f4c5b239134b0ec22a074a9c1f66a65cd90e8"
+SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"
 
 
 def _digest(out, names) -> str:
@@ -50,3 +68,22 @@ def test_noisy_n10_estimate_and_validate_bytes_are_frozen(tmp_path):
     assert _digest(tmp_path, estimate) == ESTIMATE_SHA256
     validate = sorted(p.name for p in tmp_path.glob("validate_*.json"))
     assert _digest(tmp_path, validate) == VALIDATE_SHA256
+
+
+def test_atom_heavy_sample_size_bytes_are_frozen(tmp_path):
+    rng = np.random.default_rng(5)
+    levels = np.array([-12.0, -11.0, -10.5, -9.0, -7.5])
+    pool = rng.choice(levels, size=200, p=[0.88, 0.06, 0.03, 0.02, 0.01])
+    write_csv(tmp_path / "extremes_s100.csv", ["run_index", "min_energy"],
+              [(i, repr(float(e))) for i, e in enumerate(pool)])
+    cfg = ExperimentConfig(
+        synthetic=SyntheticSpec(n=8, seed=1),
+        sample_size=SampleSizeConfig(
+            n_min=20, n_max=60, stride=20, inner_draws=10, outer_reps=2, seed=5,
+            mvsw_replicates=200,
+        ),
+    )
+    payload = run_sample_size(cfg, tmp_path, shots_s=100)
+    failures = payload["result"]["fit_failures"]
+    assert failures["20"]["failed"] > 0 and failures["60"]["failed"] == 0
+    assert _digest(tmp_path, ["sample_size.json"]) == SAMPLE_SIZE_SHA256

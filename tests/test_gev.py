@@ -4,18 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import stats as sps
 
-from qevt.errors import DegenerateSamplesError, InsufficientSamplesError
+from qevt.errors import DegenerateSamplesError, FitFailureError, InsufficientSamplesError
 from qevt.gev import (
+    _PENALTY,
+    _SUPPORT_EPS,
     BASELINE_RTOL,
+    EULER_GAMMA,
+    FIT_MAXITER,
+    FIT_XI_STARTS,
+    GUMBEL_XI_EPS,
+    MIN_FIT_SAMPLES,
     ROUTE_GEV,
     ROUTE_HIT_RATE,
+    XI_MAX,
+    XI_MIN,
     GevParams,
-    _nll_and_grad,
+    JitteredSamples,
+    _nll_and_grad_lanes,
+    _support_ok,
     estimate_runs,
     estimate_shots,
     fit_gev_minima,
+    fit_gev_minima_batch,
     gev_cdf,
     gev_nll,
     gev_pdf,
@@ -161,17 +174,18 @@ class TestFit:
         y = draw_maxima(1.0, 2.0, 0.2, 400, seed=7)
         for theta in ([0.8, 1.9, 0.15], [1.1, 2.2, 0.4], [1.0, 2.0, 1e-9]):
             theta = np.array(theta, dtype=float)
-            _, grad = _nll_and_grad(theta, y)
+            _, grad = _nll_and_grad_lanes(theta[None, :], y[None, :])
             for k in range(3):
                 h = 1e-6 * max(1.0, abs(theta[k]))
                 tp, tm = theta.copy(), theta.copy()
                 tp[k] += h
                 tm[k] -= h
-                fd = (_nll_and_grad(tp, y)[0] - _nll_and_grad(tm, y)[0]) / (2 * h)
+                values, _ = _nll_and_grad_lanes(np.stack([tp, tm]), np.stack([y, y]))
+                fd = (values[0] - values[1]) / (2 * h)
                 # skip comparisons that straddle the Gumbel switch
                 if k == 2 and abs(theta[2]) < 1e-5:
                     continue
-                assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-4)
+                assert grad[0, k] == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
 class TestSuccessProbability:
@@ -309,3 +323,166 @@ def test_pdf_integrates_to_cdf():
     pdf = gev_pdf(params, zs)
     integral = np.trapezoid(pdf, zs)
     assert integral == pytest.approx(1.0, abs=1e-3)
+
+
+# -- the scalar objective and scipy driver the lanes reproduce -------------
+
+
+def scalar_nll_and_grad(theta: np.ndarray, y: np.ndarray):
+    """The one-lane likelihood as first written, the reference for the lanes."""
+    mu, sigma, xi = theta
+    m = y.size
+    if sigma <= 0.0:
+        return _PENALTY * (1.0 + abs(sigma)), np.array([0.0, -_PENALTY, 0.0])
+    u = (y - mu) / sigma
+    if abs(xi) < GUMBEL_XI_EPS:
+        e = np.exp(-u)
+        nll = m * np.log(sigma) + u.sum() + e.sum()
+        dmu = (-m + e.sum()) / sigma
+        dsigma = (m - u.sum() + (u * e).sum()) / sigma
+        dxi = (u - 0.5 * u * u * (1.0 - e)).sum()
+        return nll, np.array([dmu, dsigma, dxi])
+    t = 1.0 + xi * u
+    bad = t <= _SUPPORT_EPS
+    if bad.any():
+        viol = (_SUPPORT_EPS - t[bad]).sum()
+        f = _PENALTY * (1.0 + viol)
+        g = _PENALTY * np.array(
+            [
+                (xi / sigma) * bad.sum(),
+                (xi / sigma) * u[bad].sum(),
+                -u[bad].sum(),
+            ]
+        )
+        return f, g
+    logt = np.log(t)
+    w = np.exp(np.minimum(-logt / xi, 500.0))
+    inv_t = 1.0 / t
+    nll = m * np.log(sigma) + (1.0 + 1.0 / xi) * logt.sum() + w.sum()
+    s1 = inv_t.sum()
+    s2 = (u * inv_t).sum()
+    sw1 = (w * inv_t).sum()
+    sw2 = (w * u * inv_t).sum()
+    dmu = (-(1.0 + xi) * s1 + sw1) / sigma
+    dsigma = (m - (1.0 + xi) * s2 + sw2) / sigma
+    dxi = -logt.sum() / xi**2 + (1.0 + 1.0 / xi) * s2 + (w * logt).sum() / xi**2 - sw2 / xi
+    grad = np.array([dmu, dsigma, dxi])
+    if not (np.isfinite(nll) and np.all(np.isfinite(grad))):
+        return _PENALTY * 2.0, np.zeros(3)
+    return nll, grad
+
+
+def reference_fit(samples: JitteredSamples):
+    """The multi-start fit as a loop of ``scipy.optimize.minimize`` calls;
+    returns the GevParams or the exception the fit raises."""
+    values = np.asarray(samples.values, dtype=np.float64)
+    if values.size < MIN_FIT_SAMPLES:
+        return InsufficientSamplesError("too few samples")
+    y = -values
+    spread = float(y.std(ddof=1))
+    if spread == 0.0:
+        return DegenerateSamplesError("samples have zero variance")
+    sigma0 = spread * math.sqrt(6.0) / math.pi
+    mu0 = float(y.mean()) - EULER_GAMMA * sigma0
+    bounds = [(None, None), (1e-8 * sigma0, None), (XI_MIN, XI_MAX)]
+    results = []
+    for idx, xi0 in enumerate(FIT_XI_STARTS):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            res = optimize.minimize(
+                scalar_nll_and_grad, np.array([mu0, sigma0, xi0]), args=(y,), jac=True,
+                method="L-BFGS-B", bounds=bounds, options={"maxiter": FIT_MAXITER},
+            )
+        theta = res.x
+        if np.all(np.isfinite(theta)) and math.isfinite(res.fun) and _support_ok(theta, y):
+            results.append((float(res.fun), idx, theta))
+    if not results:
+        return FitFailureError("failed from every start")
+    _, _, best = min(results, key=lambda t: (t[0], t[1]))
+    return GevParams(mu=float(best[0]), sigma=float(best[1]), xi=float(best[2]))
+
+
+# levels and weights of the run-minimum law behind the benchmark's
+# sample-size pool: one atom holds more than half the mass
+ATOM_LEVELS = np.array([-0.1898, -0.1753, -0.1292, -0.1131, -0.1090, -0.1022, -0.0959,
+                        -0.0918, -0.0802])
+ATOM_WEIGHTS = np.array([559, 247, 109, 48, 21, 9, 4, 2, 1]) / 1000.0
+
+
+def atom_heavy_samples(n, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        draw = rng.choice(ATOM_LEVELS, size=n, p=ATOM_WEIGHTS)
+        if np.unique(draw).size > 1:
+            out.append(jitter(draw, seed=1000 * seed + i))
+    return out
+
+
+def assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        if isinstance(b, Exception):
+            assert type(a) is type(b), (k, a, b)
+        else:
+            assert isinstance(a, GevParams) and a == b, (k, a, b)
+
+
+class TestBatchFitMatchesScipy:
+    """Every lane of the lockstep fit is bit for bit the lone scipy fit."""
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_atom_heavy_pools(self, n):
+        samples = atom_heavy_samples(n, 12, seed=n)
+        want = [reference_fit(s) for s in samples]
+        assert_same_fits(fit_gev_minima_batch(samples), want)
+        assert_same_fits([fit_gev_minima(s) for s in samples[:3]], want[:3])
+
+    @pytest.mark.parametrize("xi", [-0.1, 0.0, 0.2])
+    def test_regular_and_gumbel_samples(self, xi):
+        samples = [
+            jitter(-np.round(draw_maxima(0.0, 1.0, xi, n, seed=n), 3), seed=n)
+            for n in (20, 35, 100, 1000, 10_000)
+        ]
+        want = [reference_fit(s) for s in samples]
+        # mixed sizes run as one batch, one lockstep per size
+        assert_same_fits(fit_gev_minima_batch(samples), want)
+        assert fit_gev_minima(samples[-1]) == want[-1]
+
+    def test_failures_keep_their_positions(self):
+        ok = atom_heavy_samples(20, 2, seed=3)
+        nan_lane = JitteredSamples(values=np.r_[np.arange(25.0), np.nan], delta=1.0, seed=0)
+        constant = JitteredSamples(values=np.full(30, 2.0), delta=1.0, seed=0)
+        short = JitteredSamples(values=np.arange(10.0), delta=1.0, seed=0)
+        samples = [ok[0], nan_lane, constant, ok[1], short]
+        got = fit_gev_minima_batch(samples)
+        assert isinstance(got[1], FitFailureError)
+        assert len(got[1].diagnostics) == len(FIT_XI_STARTS)
+        assert isinstance(got[2], DegenerateSamplesError)
+        assert isinstance(got[4], InsufficientSamplesError)
+        with np.errstate(invalid="ignore"):
+            assert_same_fits(got, [reference_fit(s) for s in samples])
+        with pytest.raises(FitFailureError):
+            fit_gev_minima(nan_lane)
+
+    def test_empty_batch(self):
+        assert fit_gev_minima_batch([]) == []
+
+    def test_lanes_objective_matches_scalar_bitwise(self):
+        rng = np.random.default_rng(5)
+        y = rng.gumbel(size=(6, 40))
+        theta = np.array(
+            [
+                [0.1, 1.2, 0.3],       # regular
+                [0.0, 1.0, 1e-8],      # Gumbel branch
+                [0.0, -0.5, 0.1],      # sigma <= 0
+                [3.0, 0.2, -2.0],      # outside the support
+                [0.2, 0.9, -0.25],     # regular, bounded
+                [0.0, 1.0, 4.9],       # regular, large shape
+            ]
+        )
+        values, grads = _nll_and_grad_lanes(theta, y)
+        for k in range(theta.shape[0]):
+            with np.errstate(all="ignore"):
+                value, grad = scalar_nll_and_grad(theta[k], y[k])
+            assert values[k] == value
+            assert np.array_equal(grads[k], grad)

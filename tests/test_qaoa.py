@@ -446,9 +446,10 @@ class TestMeasurementKernel:
             state[-1] = 0.0
         count, shots_s = shape
         rng_a, rng_b = np.random.default_rng(shots_s), np.random.default_rng(shots_s)
-        got = _shot_sampler(state, flip)(count, shots_s, rng_a)
-        assert got.shape == (count, shots_s)
-        assert np.array_equal(got, reference_measure(state, flip, count, shots_s, rng_b))
+        # one draw of count x shots_s shots takes the doubles of count runs
+        got = _shot_sampler(state, flip)(count * shots_s, rng_a)
+        assert got.shape == (count * shots_s,)
+        assert np.array_equal(got, reference_measure(state, flip, count, shots_s, rng_b).ravel())
         assert rng_a.random() == rng_b.random()
 
 

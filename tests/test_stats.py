@@ -11,6 +11,8 @@ from qevt.errors import (
 )
 from qevt.stats import (
     Crossing,
+    _shapiro_w,
+    _standardize,
     crossing_sample_size,
     fit_regression_line,
     hotelling_t2,
@@ -166,6 +168,37 @@ class TestShapiroWilkMultivariate:
         a = mvsw_null_stats(20, 3, 50, seed=5)
         b = mvsw_null_stats(20, 3, 50, seed=5)
         assert np.array_equal(a, b)
+
+
+class TestShapiroKernel:
+    """The direct ``swilk`` call is ``sps.shapiro`` bit for bit."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 11, 30, 200])
+    def test_w_matches_scipy_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        draws = [
+            rng.standard_normal(m),
+            rng.exponential(size=m),
+            np.round(rng.standard_normal(m), 1),   # ties
+            np.r_[np.zeros(m - 1), 1.0],           # one value apart from a tie block
+        ]
+        for x in draws:
+            assert _shapiro_w(x) == sps.shapiro(x).statistic
+
+    def test_strided_column_matches_scipy_bitwise(self):
+        z = _standardize(np.random.default_rng(2).standard_normal((30, 3)))
+        for j in range(3):
+            assert _shapiro_w(z[:, j]) == sps.shapiro(z[:, j]).statistic
+
+    def test_null_table_matches_a_table_built_with_scipy(self):
+        seed = 17
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(1000):
+            z = _standardize(rng.standard_normal((30, 3)))
+            want.append(np.mean([sps.shapiro(z[:, j]).statistic for j in range(3)]))
+        want.sort()
+        assert np.array_equal(mvsw_null_stats(30, 3, 1000, seed), np.array(want))
 
 
 class TestRegression:
