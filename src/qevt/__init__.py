@@ -30,7 +30,6 @@ from .gev import (
     fit_gev_minima,
     gev_cdf,
     gev_pdf,
-    gev_quantile,
     jitter,
     required_runs,
     success_probability,
@@ -39,8 +38,6 @@ from .qaoa import (
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
-    ShotBatch,
-    apply_cost_layer,
     apply_mixer_layer,
     collect_extreme_samples,
     expectation_energy,
@@ -71,7 +68,6 @@ from .stats import (
     fit_regression_line,
     hotelling_t2,
     shapiro_wilk_multivariate,
-    shapiro_wilk_univariate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

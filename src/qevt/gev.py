@@ -168,17 +168,6 @@ def gev_pdf(params: GevParams, z):
     return float(out) if out.ndim == 0 else out
 
 
-def gev_quantile(params: GevParams, q: float) -> float:
-    """Inverse CDF; exact round trip with :func:`gev_cdf` on the interior."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    mu, sigma, xi = params.mu, params.sigma, params.xi
-    log_q = -math.log(q)
-    if abs(xi) < GUMBEL_XI_EPS:
-        return mu - sigma * math.log(log_q)
-    return mu + sigma / xi * (log_q ** (-xi) - 1.0)
-
-
 def jitter(energies, seed: int = 0) -> JitteredSamples:
     """Add uniform noise of width delta, the smallest nonzero gap between
     sorted unique values.

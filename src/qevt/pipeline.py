@@ -220,13 +220,17 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     )
 
 
-def _circuit_and_table(inst: QuboInstance, params: QaoaParams, cfg: ExperimentConfig):
-    """The circuit's statevector and the energy table of ``inst``, built once
-    per command and shared by every sampler call in it.  The circuit's phases
-    come from the same table the shots are scored with, the one the angles
-    were tuned on."""
+def _run_law(inst: QuboInstance, params: QaoaParams, cfg: ExperimentConfig):
+    """The exact per-run minimum law of the circuit's measured shots, built
+    once per command and shared by every sampler call in it, with the
+    measured distribution (readout flips of ``cfg`` included) and the energy
+    table it was built from.  The circuit's phases come from the same table
+    the minima are read from, the one the angles were tuned on."""
+    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
     table = energy_table(inst)
-    return circuit_state(to_ising(inst), params, cfg.initial_state, energies=table), table
+    state = circuit_state(to_ising(inst), params, cfg.initial_state, energies=table)
+    probs = measured_distribution(state, noise.readout_flip_prob)
+    return _run_minimum_law(probs, table), probs, table
 
 
 def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance, float, QaoaParams]:
@@ -305,8 +309,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     _, desc = resolve_instance(cfg)
     if cfg.y_ideal_override is not None:
         y_ideal = float(cfg.y_ideal_override)
-    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    state, table = _circuit_and_table(inst, params, cfg)
+    law, _, _ = _run_law(inst, params, cfg)
 
     seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
     per_shots = []
@@ -316,8 +319,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
         extremes_seed = derive_seed(cfg.seed, "extremes", shots_s)
         seeds[f"extremes_s{shots_s}"] = extremes_seed
         extremes = collect_extreme_samples(
-            inst, params, shots_s, cfg.runs, noise, extremes_seed, cfg.initial_state,
-            state=state, energies=table,
+            inst, params, shots_s, cfg.runs, seed=extremes_seed, law=law
         )
         csv_name = f"extremes_s{shots_s}.csv"
         write_csv(
@@ -447,10 +449,7 @@ def run_validate(
     cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"])
     inst = load_instance(out / "instance.json")
     params = QaoaParams.from_dict(report["qaoa_params"])
-    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    state, table = _circuit_and_table(inst, params, cfg)
-    probs = measured_distribution(state, noise.readout_flip_prob)
-    law = _run_minimum_law(probs, table)
+    law, probs, table = _run_law(inst, params, cfg)
     p_run = _any_hit(float(probs[meets_baseline(table, y_ideal)].sum()), shots_s)
 
     lo, hi = delta_range
@@ -463,7 +462,7 @@ def run_validate(
             continue
         seed = derive_seed(cfg.seed, "validate", shots_s, delta)
         minima = run_minima_batch(
-            state, inst, shots_s, runs_count * trials, seed=seed, law=law
+            None, inst, shots_s, runs_count * trials, seed=seed, law=law
         ).reshape(trials, runs_count)
         ratio = float(meets_baseline(minima.min(axis=1), y_ideal).mean())
         curve.append({"delta": delta, "runs": runs_count, "ratio": ratio,
@@ -511,14 +510,12 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) ->
         raise ConfigError("shots grid must be non-empty positive integers")
     out = Path(out_dir)
     inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
-    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    state, table = _circuit_and_table(inst, params, cfg)
-    law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), table)
+    law, _, _ = _run_law(inst, params, cfg)
 
     points = []
     for shots_s in grid:
         minima = run_minima_batch(
-            state, inst, shots_s, reps, seed=derive_seed(cfg.seed, "sweep", shots_s), law=law
+            None, inst, shots_s, reps, seed=derive_seed(cfg.seed, "sweep", shots_s), law=law
         )
         points.append({"shots_s": shots_s, "mean_min_energy": float(minima.mean()), "reps": reps})
     write_csv(
@@ -590,18 +587,10 @@ def run_sample_size(
             pool_source = {"kind": "csv", "path": existing.name}
         else:
             inst, _, params = ensure_stage_artifacts(cfg, out)
-            noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-            state, table = _circuit_and_table(inst, params, cfg)
+            law, _, _ = _run_law(inst, params, cfg)
             pool = collect_extreme_samples(
-                inst,
-                params,
-                shots_s,
-                cfg.pool_runs,
-                noise,
-                derive_seed(cfg.seed, "pool", shots_s),
-                cfg.initial_state,
-                state=state,
-                energies=table,
+                inst, params, shots_s, cfg.pool_runs,
+                seed=derive_seed(cfg.seed, "pool", shots_s), law=law,
             )
             pool_source = {"kind": "fresh", "shots_s": shots_s, "runs": cfg.pool_runs}
     theta_sim = reference_parameters(pool, ss_cfg.seed)

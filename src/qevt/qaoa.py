@@ -5,11 +5,11 @@ diagonal in the computational basis), the mixer as a product of single-qubit
 e^{-i beta X} rotations.  Measurement sampling, optional readout bit-flip
 noise, and the collection of per-run minimum energies live here too.
 
-Two samplers serve two purposes.  The estimate path draws every shot
-(:func:`_shot_sampler`), so each run's minimum reproduces alone from the
-seed its CSV records.  Validation and the shot sweep only need per-run
-minima in law, and draw each from the exact per-run minimum law
-(:func:`_run_minimum_law`) with one uniform per run.
+One law serves every sampler.  The readout flips are folded into the
+measured distribution (:func:`measured_distribution`), and each run's
+minimum energy is drawn from the exact per-run minimum law
+(:func:`_run_minimum_law`) with one uniform per run: the same minima in law
+as drawing every shot, at a cost that does not grow with the shots.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
@@ -17,7 +17,7 @@ variable x_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -82,25 +82,6 @@ class NoiseConfig:
             raise ValueError("readout_flip_prob must lie in [0, 0.5]")
 
 
-@dataclass(frozen=True, eq=False)
-class ShotBatch:
-    """Energies of one run of shots_s measurements; minimum is derived."""
-
-    shots_s: int
-    energies: np.ndarray
-    minimum: float = field(init=False)
-
-    def __post_init__(self):
-        if self.shots_s < 1:
-            raise ValueError("shots_s must be positive")
-        energies = np.array(self.energies, dtype=np.float64)
-        if energies.shape != (self.shots_s,):
-            raise ValueError("energies must have length shots_s")
-        energies.flags.writeable = False
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "minimum", float(energies.min()))
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Derivative-free angle optimization settings (COBYLA, multi-start)."""
@@ -145,21 +126,6 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
         parity = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 1
         state[parity == 1] *= -1.0
     return state
-
-
-def apply_cost_layer(
-    state: np.ndarray, model: IsingModel, gamma: float, energies: np.ndarray | None = None
-) -> np.ndarray:
-    """Multiply each amplitude by exp(-i*gamma*E(x)); pure phase, norm preserved.
-
-    ``energies`` may carry a precomputed spin-energy table to avoid
-    recomputing it once per layer.
-    """
-    if energies is None:
-        energies = ising_energy_table(model)
-    if energies.size != state.size:
-        raise ValueError("state and model dimensions disagree")
-    return state * np.exp(-1j * gamma * energies)
 
 
 def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
@@ -248,65 +214,6 @@ def optimize_parameters(
     return QaoaParams(depth_p, best[:depth_p], best[depth_p:])
 
 
-_FLIP_BLOCK = 1 << 16
-
-
-def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndarray:
-    """``indices`` with each of the n bits flipped independently with
-    probability ``flip_prob``.
-
-    The flip draws are taken ``_FLIP_BLOCK`` indices at a time into one
-    reused (block, n) buffer, row-major, so the generator yields the same
-    doubles in the same order as one ``rng.random((indices.size, n))`` draw;
-    each block's flips are packed into bytes and OR-ed into an integer mask.
-    """
-    out = np.array(indices, dtype=np.int64)
-    buf = np.empty((min(_FLIP_BLOCK, out.size), n))
-    for start in range(0, out.size, _FLIP_BLOCK):
-        m = min(_FLIP_BLOCK, out.size - start)
-        packed = np.packbits(rng.random(out=buf[:m]) < flip_prob, axis=1, bitorder="little")
-        mask = np.zeros(m, dtype=np.int64)
-        for b in range(packed.shape[1]):
-            mask |= packed[:, b].astype(np.int64) << (8 * b)
-        out[start : start + m] ^= mask
-    return out
-
-
-def _shot_sampler(state: np.ndarray, flip_prob: float):
-    """The shot-by-shot measurement step behind :func:`sample_shots` and
-    :func:`collect_extreme_samples`.
-
-    Builds the shot distribution of ``state`` once and returns
-    ``measure(shots_s, rng)``, which draws the measured basis indices of
-    ``shots_s`` shots with readout flips applied.
-
-    Stream facts both samplers rely on: the uniforms are one
-    ``rng.random(shots_s)`` draw; the flip draws that follow come row-major
-    in blocks (see :func:`_flip_indices`), the same doubles as one
-    ``rng.random((shots_s, n))`` draw.  So a generator gives the same shots
-    whichever of them asks and however the work is chunked.
-
-    The uniforms are searched in sorted order, so the search walks the CDF
-    forward instead of missing cache on every query; equal keys get equal
-    answers, so the indices are exactly those of an unsorted search.
-    """
-    n = _num_qubits(state)
-    cdf = np.cumsum((state.conj() * state).real)
-    cdf /= cdf[-1]
-
-    def measure(shots_s: int, rng) -> np.ndarray:
-        u = rng.random(shots_s)
-        order = np.argsort(u)
-        idx = np.empty(u.size, dtype=np.int64)
-        idx[order] = np.searchsorted(cdf, u[order], side="right")
-        np.minimum(idx, (1 << n) - 1, out=idx)
-        if flip_prob > 0.0:
-            idx = _flip_indices(idx, n, flip_prob, rng)
-        return idx
-
-    return measure
-
-
 def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
     """Probability of each measured basis index, readout flips included.
 
@@ -334,9 +241,9 @@ def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
     ``probs`` is the measured distribution (:func:`measured_distribution`)
     and ``energies`` the energy table it is scored with.  With F the per-shot
     CDF over the stably sorted table, a run of s independent shots has
-    P(min <= e) = 1 - (1 - F(e))^s.  Returns ``draw(shots_s, runs, rng)``,
-    which inverts that law at ``rng.random(runs)``: one uniform per run, the
-    same minima in law as drawing every shot.
+    P(min <= e) = 1 - (1 - F(e))^s.  Returns ``draw(shots_s, uniforms)``,
+    which forms that law once per call and inverts it at ``uniforms``: one
+    uniform per run, the same minima in law as drawing every shot.
     """
     order = np.argsort(energies, kind="stable")
     levels = energies[order]
@@ -347,9 +254,9 @@ def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
     with np.errstate(divide="ignore"):
         log_survival = np.log1p(-cdf)
 
-    def draw(shots_s: int, runs: int, rng) -> np.ndarray:
+    def draw(shots_s: int, uniforms: np.ndarray) -> np.ndarray:
         law = -np.expm1(shots_s * log_survival)
-        return levels[np.searchsorted(law, rng.random(runs), side="right")]
+        return levels[np.searchsorted(law, uniforms, side="right")]
 
     return draw
 
@@ -361,23 +268,26 @@ def sample_shots(
     noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
     energies: np.ndarray | None = None,
-) -> ShotBatch:
-    """Measure shots_s basis states, apply readout flips, record energies.
+) -> np.ndarray:
+    """Energies of shots_s measured shots, readout flips included.
 
-    Each shot's energy is read from the instance's energy table
-    (:func:`energy_table`, the one the circuit's phases come from) at the
-    possibly flipped bitstring; ``energies`` may carry that table prebuilt.
+    One inverse-CDF search of ``default_rng(seed).random(shots_s)`` over
+    :func:`measured_distribution`; each shot's energy is read from the
+    instance's energy table (:func:`energy_table`, the one the circuit's
+    phases come from), which ``energies`` may carry prebuilt.  The
+    pipeline draws no single shots: it samples run minima from
+    :func:`_run_minimum_law`.
     """
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
-    n = _num_qubits(state)
-    if n != inst.n:
+    if _num_qubits(state) != inst.n:
         raise ValueError("state and instance dimensions disagree")
     if energies is None:
         energies = energy_table(inst)
-    measure = _shot_sampler(state, noise.readout_flip_prob)
-    idx = measure(shots_s, np.random.default_rng(seed))
-    return ShotBatch(shots_s=shots_s, energies=energies[idx])
+    cdf = np.cumsum(measured_distribution(state, noise.readout_flip_prob))
+    cdf /= cdf[-1]
+    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(shots_s), side="right")
+    return energies[np.minimum(idx, cdf.size - 1)]
 
 
 def collect_extreme_samples(
@@ -389,40 +299,37 @@ def collect_extreme_samples(
     seed: int = 0,
     variant: str = "minus",
     *,
-    state: np.ndarray | None = None,
-    energies: np.ndarray | None = None,
+    law=None,
 ) -> np.ndarray:
     """Per-run minimum energies from ``runs`` independent runs of shots_s shots.
 
-    The energy table, circuit and shot distribution are built once; run r
-    draws on its own generator seeded with ``derive_seed(seed, "extreme-run",
-    r)``, so its minimum equals that of :func:`sample_shots` with that seed.
+    Run r is the exact per-run minimum law (:func:`_run_minimum_law`)
+    inverted at the first double of ``default_rng(derive_seed(seed,
+    "extreme-run", r))``, so each run reproduces alone from that seed.
 
-    ``energies`` may carry the instance's table from :func:`energy_table`
-    and ``state`` the circuit's statevector built on that table
-    (``circuit_state`` of ``to_ising(inst)``, ``params`` and ``variant``), so
-    that a caller collecting at several shots settings builds them once.
-    Either is built here when omitted, the circuit on the same table the
-    shots are scored with, and the minima are the same either way.
+    ``law`` may carry the law prebuilt from the circuit's
+    :func:`measured_distribution` under ``noise`` and the instance's
+    :func:`energy_table`, so that a caller collecting at several shots
+    settings builds it once; ``params``, ``noise`` and ``variant`` are then
+    unused.  When omitted it is built here, the circuit on the same table
+    the minima are read from.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
-    if energies is None:
-        energies = energy_table(inst)
-    if state is None:
-        state = circuit_state(to_ising(inst), params, variant, energies=energies)
-    measure = _shot_sampler(state, noise.readout_flip_prob)
-    minima = np.empty(runs, dtype=np.float64)
-    for r in range(runs):
-        rng = np.random.default_rng(derive_seed(seed, "extreme-run", r))
-        minima[r] = energies[measure(shots_s, rng)].min()
-    return minima
+    if law is None:
+        table = energy_table(inst)
+        state = circuit_state(to_ising(inst), params, variant, energies=table)
+        law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), table)
+    uniforms = np.array(
+        [np.random.default_rng(derive_seed(seed, "extreme-run", r)).random() for r in range(runs)]
+    )
+    return law(shots_s, uniforms)
 
 
 def run_minima_batch(
-    state: np.ndarray,
+    state: np.ndarray | None,
     inst: QuboInstance,
     shots_s: int,
     runs: int,
@@ -435,10 +342,9 @@ def run_minima_batch(
     """Per-run minima of ``runs`` independent runs of shots_s shots, for Monte
     Carlo validation sweeps.
 
-    Statistically equivalent to ``runs`` independent shot batches: each
-    minimum is drawn from the exact per-run minimum law
-    (:func:`_run_minimum_law`) with one uniform of ``default_rng(seed)``,
-    in run order.  ``law`` may carry that sampler prebuilt from the state's
+    Each minimum is drawn from the exact per-run minimum law
+    (:func:`_run_minimum_law`) at one double of ``default_rng(seed)``, in
+    run order.  ``law`` may carry that sampler prebuilt from the state's
     :func:`measured_distribution` under ``noise`` and the table, so that a
     caller drawing at several settings builds it once; ``state``,
     ``noise`` and ``energies`` are then unused.
@@ -449,4 +355,4 @@ def run_minima_batch(
         if energies is None:
             energies = energy_table(inst)
         law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), energies)
-    return law(shots_s, runs, np.random.default_rng(seed))
+    return law(shots_s, np.random.default_rng(seed).random(runs))

@@ -1,10 +1,10 @@
 """Multivariate test machinery for the sample-size procedure.
 
-Hotelling's T-squared against a reference mean, the univariate Shapiro-Wilk
-test (Royston approximation, via scipy), its multivariate generalization
-(average W over Mahalanobis-standardized coordinates, Monte Carlo p-value;
-W comes straight from scipy's ``swilk`` kernel, the statistic of
-``scipy.stats.shapiro`` without its per-call wrapper),
+Hotelling's T-squared against a reference mean, the multivariate
+Shapiro-Wilk test (average univariate W over Mahalanobis-standardized
+coordinates, Monte Carlo p-value; W comes straight from scipy's ``swilk``
+kernel, the statistic of ``scipy.stats.shapiro`` without its per-call
+wrapper),
 and the regression/crossing helpers that turn per-n p-value averages into a
 sample-size decision.
 """
@@ -19,19 +19,11 @@ import numpy as np
 from scipy import stats as sps
 from scipy.stats._ansari_swilk_statistics import swilk
 
-from .errors import (
-    DegenerateSamplesError,
-    InsufficientSamplesError,
-    SingularCovarianceError,
-)
-
-SW_MIN_N = 3
-SW_MAX_N = 5000
+from .errors import InsufficientSamplesError, SingularCovarianceError
 
 MVSW_DEFAULT_REPLICATES = 1000
 
 METHOD_HOTELLING = "hotelling_t2"
-METHOD_SW_UNI = "shapiro_wilk_uni"
 METHOD_SW_MULTI = "shapiro_wilk_multi"
 
 
@@ -78,21 +70,6 @@ def hotelling_t2(samples, mu0) -> TestResult:
     f_stat = t2 * (m - d) / (d * (m - 1))
     p = float(sps.f.sf(f_stat, d, m - d))
     return TestResult(statistic=t2, p_value=p, method=METHOD_HOTELLING)
-
-
-def shapiro_wilk_univariate(xs) -> TestResult:
-    """Shapiro-Wilk normality test (Royston approximation, valid 3..5000)."""
-    x = np.asarray(xs, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("input must be 1-D")
-    if not SW_MIN_N <= x.size <= SW_MAX_N:
-        raise InsufficientSamplesError(
-            f"sample size must lie in [{SW_MIN_N}, {SW_MAX_N}], got {x.size}"
-        )
-    if np.ptp(x) == 0.0:
-        raise DegenerateSamplesError("constant sample: W statistic undefined")
-    res = sps.shapiro(x)
-    return TestResult(statistic=float(res.statistic), p_value=float(res.pvalue), method=METHOD_SW_UNI)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:

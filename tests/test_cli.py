@@ -152,25 +152,27 @@ class TestEstimatePipeline:
         run_estimate(cfg, tmp_path)
         assert calls == {"circuit_state": 1, "energy_table": 1}
 
-    def test_shots_are_scored_with_the_circuit_table(self, tmp_path, monkeypatch):
-        # one table per instance: the array the circuit's phases come from is
-        # the array every collection scores its shots with
+    def test_one_law_per_estimate(self, tmp_path, monkeypatch):
+        # every shots setting draws its run minima from one law, built once
+        # on the table the circuit's phases come from, the one the angles
+        # were tuned on
         cfg = fast_config(shots_grid=(50, 100), runs=30)
         ensure_stage_artifacts(cfg, tmp_path)
-        tables = {"circuit_state": [], "collect_extreme_samples": []}
-        for name, seen in tables.items():
-            original = getattr(qevt.pipeline, name)
+        calls = {"circuit_state": [], "measured_distribution": [], "_run_minimum_law": []}
+        for module in (qevt.pipeline, qevt.qaoa):
+            for name, seen in calls.items():
+                original = getattr(module, name)
 
-            def recorded(*args, _seen=seen, _original=original, **kwargs):
-                _seen.append(kwargs.get("energies"))
-                return _original(*args, **kwargs)
+                def recorded(*args, _seen=seen, _original=original, **kwargs):
+                    _seen.append((args, kwargs))
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(qevt.pipeline, name, recorded)
+                monkeypatch.setattr(module, name, recorded)
         run_estimate(cfg, tmp_path)
-        (circuit_table,) = tables["circuit_state"]
-        assert circuit_table is not None
-        assert len(tables["collect_extreme_samples"]) == 2
-        assert all(t is circuit_table for t in tables["collect_extreme_samples"])
+        assert len(calls["measured_distribution"]) == 1
+        ((_, circuit_kwargs),) = calls["circuit_state"]
+        (((_, law_table), _),) = calls["_run_minimum_law"]
+        assert law_table is circuit_kwargs["energies"]
 
     def test_degenerate_instance_exit_code(self, tmp_path, capsys):
         # tiny instance: every run finds the optimum, extremes collapse

@@ -32,7 +32,6 @@ from qevt.gev import (
     gev_cdf,
     gev_nll,
     gev_pdf,
-    gev_quantile,
     jitter,
     required_runs,
     success_probability,
@@ -79,34 +78,6 @@ class TestCdf:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             GevParams(0, 0, 0)
-
-
-class TestQuantile:
-    def test_gumbel_inverse(self):
-        assert gev_quantile(GevParams(0, 1, 0), math.exp(-1)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            params = GevParams(
-                mu=float(rng.normal(0, 5)),
-                sigma=float(rng.uniform(0.1, 4)),
-                xi=float(rng.uniform(-0.9, 0.9)),
-            )
-            q = float(rng.uniform(0.01, 0.99))
-            assert gev_cdf(params, gev_quantile(params, q)) == pytest.approx(q, abs=1e-9)
-
-    def test_monotone_in_q(self):
-        params = GevParams(0, 1, -0.3)
-        qs = np.linspace(0.01, 0.99, 50)
-        values = [gev_quantile(params, q) for q in qs]
-        assert np.all(np.diff(values) > 0)
-
-    def test_rejects_boundary(self):
-        with pytest.raises(ValueError):
-            gev_quantile(GevParams(0, 1, 0), 0.0)
-        with pytest.raises(ValueError):
-            gev_quantile(GevParams(0, 1, 0), 1.0)
 
 
 class TestJitter:
@@ -248,9 +219,10 @@ class TestRequiredRuns:
 
 class TestEstimateShots:
     def test_composition(self):
-        # p = 0.5 exactly: y_ideal at the negated-domain median
+        # p = 0.5 exactly: y_ideal at the negated-domain median, the median
+        # of GEV(0, 1, 0) being -log(log 2)
         params = GevParams(0, 1, 0)
-        y_ideal = -gev_quantile(params, 0.5)
+        y_ideal = math.log(math.log(2.0))
         est = estimate_shots(params, y_ideal, 0.95, 500)
         assert est.n_evt == 5
         assert est.total_shots == 2500

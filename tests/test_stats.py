@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from qevt.errors import (
-    DegenerateSamplesError,
-    InsufficientSamplesError,
-    SingularCovarianceError,
-)
+from qevt.errors import InsufficientSamplesError, SingularCovarianceError
 from qevt.stats import (
     Crossing,
     _shapiro_w,
@@ -18,7 +14,6 @@ from qevt.stats import (
     hotelling_t2,
     mvsw_null_stats,
     shapiro_wilk_multivariate,
-    shapiro_wilk_univariate,
 )
 
 
@@ -76,37 +71,6 @@ class TestHotelling:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientSamplesError):
             hotelling_t2(np.eye(3), np.zeros(3))
-
-
-class TestShapiroWilkUnivariate:
-    def test_normal_data_rarely_rejected(self):
-        # exactly calibrated means E[clears] = 95; the fixed stream below is a
-        # deterministic witness sitting on the right side of that boundary
-        rng = np.random.default_rng(1)
-        clears = sum(
-            shapiro_wilk_univariate(rng.standard_normal(1000)).p_value > 0.05
-            for _ in range(100)
-        )
-        print(f"normal data cleared {clears}/100 at level 0.05")
-        assert clears >= 95
-
-    def test_uniform_data_rejected(self):
-        rng = np.random.default_rng(1)
-        rejections = sum(
-            shapiro_wilk_univariate(rng.uniform(size=500)).p_value < 0.01
-            for _ in range(100)
-        )
-        assert rejections >= 99
-
-    def test_constant_sample_degenerate(self):
-        with pytest.raises(DegenerateSamplesError):
-            shapiro_wilk_univariate([3.0] * 10)
-
-    def test_length_bounds(self):
-        with pytest.raises(InsufficientSamplesError):
-            shapiro_wilk_univariate([1.0, 2.0])
-        with pytest.raises(InsufficientSamplesError):
-            shapiro_wilk_univariate(np.random.default_rng(0).normal(size=5001))
 
 
 class TestShapiroWilkMultivariate:
