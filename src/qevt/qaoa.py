@@ -10,6 +10,8 @@ measured distribution (:func:`measured_distribution`), and each run's
 minimum energy is drawn from the exact per-run minimum law
 (:func:`_run_minimum_law`) with one uniform per run: the same minima in law
 as drawing every shot, at a cost that does not grow with the shots.
+Only :func:`sample_shots` still draws single shots (:func:`_shot_sampler`),
+for callers that want the shot energies themselves.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
@@ -261,6 +263,64 @@ def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
     return draw
 
 
+_FLIP_BLOCK = 1 << 16
+
+
+def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndarray:
+    """``indices`` with each of the n bits flipped independently with
+    probability ``flip_prob``.
+
+    The flip draws are taken ``_FLIP_BLOCK`` indices at a time into one
+    reused (block, n) buffer, row-major, so the generator yields the same
+    doubles in the same order as one ``rng.random((indices.size, n))`` draw;
+    each block's flips are packed into bytes and OR-ed into an integer mask.
+    """
+    out = np.array(indices, dtype=np.int64)
+    buf = np.empty((min(_FLIP_BLOCK, out.size), n))
+    for start in range(0, out.size, _FLIP_BLOCK):
+        m = min(_FLIP_BLOCK, out.size - start)
+        packed = np.packbits(rng.random(out=buf[:m]) < flip_prob, axis=1, bitorder="little")
+        mask = np.zeros(m, dtype=np.int64)
+        for b in range(packed.shape[1]):
+            mask |= packed[:, b].astype(np.int64) << (8 * b)
+        out[start : start + m] ^= mask
+    return out
+
+
+def _shot_sampler(state: np.ndarray, flip_prob: float):
+    """The shot-by-shot measurement step behind :func:`sample_shots`.
+
+    Builds the shot distribution of ``state`` once and returns
+    ``measure(shots_s, rng)``, which draws the measured basis indices of
+    ``shots_s`` shots with readout flips applied.
+
+    Stream facts: the uniforms are one ``rng.random(shots_s)`` draw; the
+    flip draws that follow come row-major in blocks (see
+    :func:`_flip_indices`), the same doubles as one
+    ``rng.random((shots_s, n))`` draw.  So a generator gives the same shots
+    however the work is chunked.
+
+    The uniforms are searched in sorted order, so the search walks the CDF
+    forward instead of missing cache on every query; equal keys get equal
+    answers, so the indices are exactly those of an unsorted search.
+    """
+    n = _num_qubits(state)
+    cdf = np.cumsum((state.conj() * state).real)
+    cdf /= cdf[-1]
+
+    def measure(shots_s: int, rng) -> np.ndarray:
+        u = rng.random(shots_s)
+        order = np.argsort(u)
+        idx = np.empty(u.size, dtype=np.int64)
+        idx[order] = np.searchsorted(cdf, u[order], side="right")
+        np.minimum(idx, (1 << n) - 1, out=idx)
+        if flip_prob > 0.0:
+            idx = _flip_indices(idx, n, flip_prob, rng)
+        return idx
+
+    return measure
+
+
 def sample_shots(
     state: np.ndarray,
     inst: QuboInstance,
@@ -271,12 +331,11 @@ def sample_shots(
 ) -> np.ndarray:
     """Energies of shots_s measured shots, readout flips included.
 
-    One inverse-CDF search of ``default_rng(seed).random(shots_s)`` over
-    :func:`measured_distribution`; each shot's energy is read from the
-    instance's energy table (:func:`energy_table`, the one the circuit's
-    phases come from), which ``energies`` may carry prebuilt.  The
-    pipeline draws no single shots: it samples run minima from
-    :func:`_run_minimum_law`.
+    Draws every shot on ``default_rng(seed)`` with :func:`_shot_sampler`;
+    each shot's energy is read from the instance's energy table
+    (:func:`energy_table`, the one the circuit's phases come from), which
+    ``energies`` may carry prebuilt.  The pipeline draws no single shots:
+    it samples run minima from :func:`_run_minimum_law`.
     """
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
@@ -284,10 +343,8 @@ def sample_shots(
         raise ValueError("state and instance dimensions disagree")
     if energies is None:
         energies = energy_table(inst)
-    cdf = np.cumsum(measured_distribution(state, noise.readout_flip_prob))
-    cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(shots_s), side="right")
-    return energies[np.minimum(idx, cdf.size - 1)]
+    measure = _shot_sampler(state, noise.readout_flip_prob)
+    return energies[measure(shots_s, np.random.default_rng(seed))]
 
 
 def collect_extreme_samples(
