@@ -32,24 +32,19 @@ from .gev import (
     meets_baseline,
 )
 from .qaoa import (
-    NoiseConfig,
     OptimizerConfig,
     QaoaParams,
-    _run_minimum_law,
-    circuit_state,
+    circuit_law,
     collect_extreme_samples,
-    measured_distribution,
     optimize_parameters,
     run_minima_batch,
 )
 from .qubo import (
     QuboInstance,
     brute_force_minimum,
-    energy_table,
     generate_synthetic_q,
     load_instance,
     save_instance,
-    to_ising,
 )
 from .sample_size import SampleSizeConfig, estimate_required_extremes, reference_parameters
 from .seeding import derive_seed
@@ -111,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one of instance_path / synthetic must be set")
         if self.runs < 1:
             raise ConfigError("runs must be positive")
+        if not 0.0 <= self.readout_flip_prob <= 0.5:
+            raise ConfigError("readout_flip_prob must lie in [0, 0.5]")
         if not self.shots_grid or any(s < 1 for s in self.shots_grid):
             raise ConfigError("shots_grid must be non-empty positive integers")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
@@ -220,19 +217,6 @@ def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
     )
 
 
-def _run_law(inst: QuboInstance, params: QaoaParams, cfg: ExperimentConfig):
-    """The exact per-run minimum law of the circuit's measured shots, built
-    once per command and shared by every sampler call in it, with the
-    measured distribution (readout flips of ``cfg`` included) and the energy
-    table it was built from.  The circuit's phases come from the same table
-    the minima are read from, the one the angles were tuned on."""
-    noise = NoiseConfig(readout_flip_prob=cfg.readout_flip_prob)
-    table = energy_table(inst)
-    state = circuit_state(to_ising(inst), params, cfg.initial_state, energies=table)
-    probs = measured_distribution(state, noise.readout_flip_prob)
-    return _run_minimum_law(probs, table), probs, table
-
-
 def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance, float, QaoaParams]:
     """Load instance/baseline/angles from ``out_dir`` or compute and persist them.
 
@@ -309,7 +293,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     _, desc = resolve_instance(cfg)
     if cfg.y_ideal_override is not None:
         y_ideal = float(cfg.y_ideal_override)
-    law, _, _ = _run_law(inst, params, cfg)
+    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
 
     seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
     per_shots = []
@@ -449,7 +433,7 @@ def run_validate(
     cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"])
     inst = load_instance(out / "instance.json")
     params = QaoaParams.from_dict(report["qaoa_params"])
-    law, probs, table = _run_law(inst, params, cfg)
+    law, probs, table = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
     p_run = _any_hit(float(probs[meets_baseline(table, y_ideal)].sum()), shots_s)
 
     lo, hi = delta_range
@@ -510,7 +494,7 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) ->
         raise ConfigError("shots grid must be non-empty positive integers")
     out = Path(out_dir)
     inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
-    law, _, _ = _run_law(inst, params, cfg)
+    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
 
     points = []
     for shots_s in grid:
@@ -587,7 +571,7 @@ def run_sample_size(
             pool_source = {"kind": "csv", "path": existing.name}
         else:
             inst, _, params = ensure_stage_artifacts(cfg, out)
-            law, _, _ = _run_law(inst, params, cfg)
+            law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
             pool = collect_extreme_samples(
                 inst, params, shots_s, cfg.pool_runs,
                 seed=derive_seed(cfg.seed, "pool", shots_s), law=law,

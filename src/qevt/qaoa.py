@@ -10,8 +10,8 @@ measured distribution (:func:`measured_distribution`), and each run's
 minimum energy is drawn from the exact per-run minimum law
 (:func:`_run_minimum_law`) with one uniform per run: the same minima in law
 as drawing every shot, at a cost that does not grow with the shots.
-Only :func:`sample_shots` still draws single shots (:func:`_shot_sampler`),
-for callers that want the shot energies themselves.
+:func:`circuit_law` builds that law for an instance and its angles.  Single
+shots (:func:`sample_shots`) are the law at s = 1, one uniform per shot.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
@@ -263,62 +263,25 @@ def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
     return draw
 
 
-_FLIP_BLOCK = 1 << 16
+def _measured_law(state: np.ndarray, flip_prob: float, energies: np.ndarray):
+    """The per-run minimum law of ``state`` measured under readout flips of
+    ``flip_prob`` and scored with ``energies``, with the measured
+    distribution it was built from."""
+    probs = measured_distribution(state, flip_prob)
+    return _run_minimum_law(probs, energies), probs
 
 
-def _flip_indices(indices: np.ndarray, n: int, flip_prob: float, rng) -> np.ndarray:
-    """``indices`` with each of the n bits flipped independently with
-    probability ``flip_prob``.
-
-    The flip draws are taken ``_FLIP_BLOCK`` indices at a time into one
-    reused (block, n) buffer, row-major, so the generator yields the same
-    doubles in the same order as one ``rng.random((indices.size, n))`` draw;
-    each block's flips are packed into bytes and OR-ed into an integer mask.
-    """
-    out = np.array(indices, dtype=np.int64)
-    buf = np.empty((min(_FLIP_BLOCK, out.size), n))
-    for start in range(0, out.size, _FLIP_BLOCK):
-        m = min(_FLIP_BLOCK, out.size - start)
-        packed = np.packbits(rng.random(out=buf[:m]) < flip_prob, axis=1, bitorder="little")
-        mask = np.zeros(m, dtype=np.int64)
-        for b in range(packed.shape[1]):
-            mask |= packed[:, b].astype(np.int64) << (8 * b)
-        out[start : start + m] ^= mask
-    return out
-
-
-def _shot_sampler(state: np.ndarray, flip_prob: float):
-    """The shot-by-shot measurement step behind :func:`sample_shots`.
-
-    Builds the shot distribution of ``state`` once and returns
-    ``measure(shots_s, rng)``, which draws the measured basis indices of
-    ``shots_s`` shots with readout flips applied.
-
-    Stream facts: the uniforms are one ``rng.random(shots_s)`` draw; the
-    flip draws that follow come row-major in blocks (see
-    :func:`_flip_indices`), the same doubles as one
-    ``rng.random((shots_s, n))`` draw.  So a generator gives the same shots
-    however the work is chunked.
-
-    The uniforms are searched in sorted order, so the search walks the CDF
-    forward instead of missing cache on every query; equal keys get equal
-    answers, so the indices are exactly those of an unsorted search.
-    """
-    n = _num_qubits(state)
-    cdf = np.cumsum((state.conj() * state).real)
-    cdf /= cdf[-1]
-
-    def measure(shots_s: int, rng) -> np.ndarray:
-        u = rng.random(shots_s)
-        order = np.argsort(u)
-        idx = np.empty(u.size, dtype=np.int64)
-        idx[order] = np.searchsorted(cdf, u[order], side="right")
-        np.minimum(idx, (1 << n) - 1, out=idx)
-        if flip_prob > 0.0:
-            idx = _flip_indices(idx, n, flip_prob, rng)
-        return idx
-
-    return measure
+def circuit_law(inst: QuboInstance, params: QaoaParams, flip_prob: float = 0.0,
+                variant: str = "minus"):
+    """The exact per-run minimum law of the circuit's measured shots, with
+    the measured distribution (readout flips included) and the energy table
+    it was built from.  The circuit's phases come from the same table the
+    minima are read from, the one the angles were tuned on.  Returns
+    ``(law, probs, table)``; build it once and share it between draws."""
+    table = energy_table(inst)
+    state = circuit_state(to_ising(inst), params, variant, energies=table)
+    law, probs = _measured_law(state, flip_prob, table)
+    return law, probs, table
 
 
 def sample_shots(
@@ -331,11 +294,11 @@ def sample_shots(
 ) -> np.ndarray:
     """Energies of shots_s measured shots, readout flips included.
 
-    Draws every shot on ``default_rng(seed)`` with :func:`_shot_sampler`;
-    each shot's energy is read from the instance's energy table
-    (:func:`energy_table`, the one the circuit's phases come from), which
-    ``energies`` may carry prebuilt.  The pipeline draws no single shots:
-    it samples run minima from :func:`_run_minimum_law`.
+    A single shot's minimum is the shot's own energy, so each shot is the
+    per-run minimum law at s = 1 inverted at one double of
+    ``default_rng(seed)``, in shot order.  Energies are read from the
+    instance's energy table (:func:`energy_table`, the one the circuit's
+    phases come from), which ``energies`` may carry prebuilt.
     """
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
@@ -343,8 +306,8 @@ def sample_shots(
         raise ValueError("state and instance dimensions disagree")
     if energies is None:
         energies = energy_table(inst)
-    measure = _shot_sampler(state, noise.readout_flip_prob)
-    return energies[measure(shots_s, np.random.default_rng(seed))]
+    law, _ = _measured_law(state, noise.readout_flip_prob, energies)
+    return law(1, np.random.default_rng(seed).random(shots_s))
 
 
 def collect_extreme_samples(
@@ -364,21 +327,17 @@ def collect_extreme_samples(
     inverted at the first double of ``default_rng(derive_seed(seed,
     "extreme-run", r))``, so each run reproduces alone from that seed.
 
-    ``law`` may carry the law prebuilt from the circuit's
-    :func:`measured_distribution` under ``noise`` and the instance's
-    :func:`energy_table`, so that a caller collecting at several shots
-    settings builds it once; ``params``, ``noise`` and ``variant`` are then
-    unused.  When omitted it is built here, the circuit on the same table
-    the minima are read from.
+    ``law`` may carry the law prebuilt by :func:`circuit_law` under
+    ``noise``, so that a caller collecting at several shots settings builds
+    it once; ``params``, ``noise`` and ``variant`` are then unused.  When
+    omitted it is built here.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
     if law is None:
-        table = energy_table(inst)
-        state = circuit_state(to_ising(inst), params, variant, energies=table)
-        law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), table)
+        law, _, _ = circuit_law(inst, params, noise.readout_flip_prob, variant)
     uniforms = np.array(
         [np.random.default_rng(derive_seed(seed, "extreme-run", r)).random() for r in range(runs)]
     )
@@ -411,5 +370,5 @@ def run_minima_batch(
     if law is None:
         if energies is None:
             energies = energy_table(inst)
-        law = _run_minimum_law(measured_distribution(state, noise.readout_flip_prob), energies)
+        law, _ = _measured_law(state, noise.readout_flip_prob, energies)
     return law(shots_s, np.random.default_rng(seed).random(runs))

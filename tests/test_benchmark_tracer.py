@@ -12,7 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
+import qevt.qaoa  # noqa: E402
 from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate  # noqa: E402
+from qevt.qaoa import NoiseConfig, QaoaParams, circuit_state  # noqa: E402
+from qevt.qubo import generate_synthetic_q, to_ising  # noqa: E402
 
 from qevtbench.trace import TRACED, Tracer  # noqa: E402
 
@@ -48,3 +51,13 @@ def test_tracer_wraps_every_traced_name_and_restores_them(tmp_path):
     assert tracer.trace.calls("qaoa.circuit_state") >= 1
     after = _qevt_bindings()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
+
+
+def test_sample_shots_keeps_the_name_and_arguments_the_tracer_reads():
+    # the tracer rebinds qevt.qaoa.sample_shots and reads shots_s as args[2]
+    inst = generate_synthetic_q(6, seed=1)
+    state = circuit_state(to_ising(inst), QaoaParams(1, [0.4], [0.3]))
+    with Tracer() as tracer:
+        qevt.qaoa.sample_shots(state, inst, 50, NoiseConfig(0.02), 3)
+    assert tracer.trace.calls("qaoa.sample_shots") == 1
+    assert tracer.trace.counts["qaoa.shots_drawn"] == 50

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-import qevt.pipeline
 import qevt.qaoa
 from qevt.cli import (
     EXIT_CONFIG,
@@ -140,15 +139,14 @@ class TestEstimatePipeline:
         cfg = fast_config(shots_grid=(50, 100, 200), runs=30)
         ensure_stage_artifacts(cfg, tmp_path)
         calls = {"circuit_state": 0, "energy_table": 0}
-        for module in (qevt.pipeline, qevt.qaoa):
-            for name in calls:
-                original = getattr(module, name)
+        for name in calls:
+            original = getattr(qevt.qaoa, name)
 
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(qevt.qaoa, name, counted)
         run_estimate(cfg, tmp_path)
         assert calls == {"circuit_state": 1, "energy_table": 1}
 
@@ -159,15 +157,14 @@ class TestEstimatePipeline:
         cfg = fast_config(shots_grid=(50, 100), runs=30)
         ensure_stage_artifacts(cfg, tmp_path)
         calls = {"circuit_state": [], "measured_distribution": [], "_run_minimum_law": []}
-        for module in (qevt.pipeline, qevt.qaoa):
-            for name, seen in calls.items():
-                original = getattr(module, name)
+        for name, seen in calls.items():
+            original = getattr(qevt.qaoa, name)
 
-                def recorded(*args, _seen=seen, _original=original, **kwargs):
-                    _seen.append((args, kwargs))
-                    return _original(*args, **kwargs)
+            def recorded(*args, _seen=seen, _original=original, **kwargs):
+                _seen.append((args, kwargs))
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, recorded)
+            monkeypatch.setattr(qevt.qaoa, name, recorded)
         run_estimate(cfg, tmp_path)
         assert len(calls["measured_distribution"]) == 1
         ((_, circuit_kwargs),) = calls["circuit_state"]
@@ -185,6 +182,17 @@ class TestEstimatePipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "degenerate"
         assert report["per_shots"][0]["breakdown"] == "degenerate_samples"
+
+    def test_bad_noise_rejected_before_any_work(self, tmp_path, capsys):
+        # the flip probability is checked with the config, before SA and the
+        # angle optimizer run, so nothing is written
+        code = main([
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20",
+            "--runs", "30", "--noise", "0.7", "--seed", "1", "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        assert "readout_flip_prob" in capsys.readouterr().err
 
     def test_unreachable_target_exit_code(self, tmp_path):
         code = main([
@@ -272,15 +280,14 @@ class TestValidateCommand:
         # the O(2^n log 2^n) part, drawing one uniform per run the cheap one
         out, cfg, _ = estimate_dir
         calls = {"_run_minimum_law": 0, "measured_distribution": 0}
-        for module in (qevt.pipeline, qevt.qaoa):
-            for name in calls:
-                original = getattr(module, name)
+        for name in calls:
+            original = getattr(qevt.qaoa, name)
 
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    calls[_name] += 1
-                    return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-                monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(qevt.qaoa, name, counted)
         payload = run_validate(cfg, out, shots_s=100, alpha=0.95, delta_range=(-3, 3), trials=20)
         assert len(payload["curve"]) == 7
         assert calls == {"_run_minimum_law": 1, "measured_distribution": 1}

@@ -8,7 +8,6 @@ from scipy import stats as sps
 
 from qevt.errors import CapacityError
 from qevt.qaoa import (
-    _FLIP_BLOCK,
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
@@ -21,9 +20,7 @@ from qevt.qaoa import (
     prepare_initial_state,
     run_minima_batch,
     sample_shots,
-    _flip_indices,
     _run_minimum_law,
-    _shot_sampler,
 )
 from qevt.qubo import (
     QuboInstance,
@@ -366,60 +363,30 @@ class TestRunMinimumLaw:
         assert set(minima.tolist()) == {2.0, 3.0}
 
 
-def reference_flip_indices(indices, n, flip_prob, rng):
-    """The readout-flip kernel as first written: one (size, n) draw."""
-    flips = rng.random((indices.size, n)) < flip_prob
-    masks = (flips.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(axis=1)
-    return indices ^ masks
-
-
-def reference_measure(state, flip_prob, count, shots_s, rng):
-    """The measurement step as first written: an unsorted search."""
-    n = int(np.log2(state.size))
-    cdf = np.cumsum((state.conj() * state).real)
-    cdf /= cdf[-1]
-    idx = np.searchsorted(cdf, rng.random((count, shots_s)), side="right")
-    idx = np.minimum(idx, (1 << n) - 1)
-    if flip_prob > 0.0:
-        idx = reference_flip_indices(idx.ravel(), n, flip_prob, rng).reshape(count, shots_s)
-    return idx
-
-
-BLOCK_SIZES = [1, _FLIP_BLOCK - 1, _FLIP_BLOCK + 1, 3 * _FLIP_BLOCK]
-
-
 class TestMeasurementKernel:
-    """The blocked flip kernel and the sorted search are exact rewrites: same
-    indices and the generator left at the same position, so no seed stream
-    moved with them."""
-
-    @pytest.mark.parametrize("flip", [0.02, 0.5])
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
-    @pytest.mark.parametrize("n", [1, 8, 9, 18])
-    def test_flip_indices_match_reference(self, n, size, flip):
-        indices = np.random.default_rng(n * 7 + size).integers(0, 1 << n, size)
-        rng_a, rng_b = np.random.default_rng(size), np.random.default_rng(size)
-        got = _flip_indices(indices, n, flip, rng_a)
-        assert np.array_equal(got, reference_flip_indices(indices, n, flip, rng_b))
-        assert rng_a.random() == rng_b.random()
+    """Single shots are the per-run minimum law at s = 1: shot k is the
+    enumerated law inverted at the k-th double of ``default_rng(seed)``."""
 
     @pytest.mark.parametrize("flip", [0.0, 0.02, 0.5])
-    @pytest.mark.parametrize("shape", [(1, 1), (1, _FLIP_BLOCK - 1), (2, _FLIP_BLOCK // 2 + 1),
-                                       (3, _FLIP_BLOCK)])
-    @pytest.mark.parametrize("n, sparse", [(1, False), (8, False), (9, True), (18, True)])
+    @pytest.mark.parametrize("shape", [(1,), (1000,), (65535,), (65537,)])
+    @pytest.mark.parametrize("n, sparse", [(1, False), (2, False), (8, False), (9, True)])
     def test_measure_matches_reference(self, n, sparse, shape, flip):
+        # the generator starts at n = 2
+        inst = generate_synthetic_q(n, seed=n) if n > 1 else QuboInstance(1, [[0.03]], k=1)
         state = random_state(n, seed=n)
         if sparse:
             # zero-probability entries make runs of equal CDF values (ties)
             state[np.random.default_rng(1).random(state.size) < 0.75] = 0.0
             state[-1] = 0.0
-        count, shots_s = shape
-        rng_a, rng_b = np.random.default_rng(shots_s), np.random.default_rng(shots_s)
-        # one draw of count x shots_s shots takes the doubles of count runs
-        got = _shot_sampler(state, flip)(count * shots_s, rng_a)
-        assert got.shape == (count * shots_s,)
-        assert np.array_equal(got, reference_measure(state, flip, count, shots_s, rng_b).ravel())
-        assert rng_a.random() == rng_b.random()
+            state /= np.linalg.norm(state)
+        (shots_s,) = shape
+        got = sample_shots(state, inst, shots_s, NoiseConfig(flip), shots_s)
+        assert got.shape == shape
+        expected = reference_run_minima(
+            reference_measured_distribution(state, flip), energy_table(inst), 1,
+            np.random.default_rng(shots_s).random(shots_s),
+        )
+        assert np.array_equal(got, expected)
 
 
 class TestNoiseConfig:
