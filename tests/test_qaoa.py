@@ -320,6 +320,25 @@ def reference_run_minima(probs, table, shots_s, uniforms):
     return levels[np.minimum(np.searchsorted(law, uniforms, side="right"), levels.size - 1)]
 
 
+def reference_flipped_distribution(state, flip_prob):
+    """The readout-flip channel one bit at a time by index XOR, for n where
+    the explicit 2^n x 2^n matrix does not fit."""
+    probs = np.abs(state) ** 2
+    index = np.arange(state.size)
+    for i in range(int(np.log2(state.size))):
+        probs = (1.0 - flip_prob) * probs + flip_prob * probs[index ^ (1 << i)]
+    return probs
+
+
+def reference_run_minima_by_level(probs, table, shots_s, uniforms):
+    """:func:`reference_run_minima` with the mass of each distinct level
+    gathered by one ``bincount``, for tables with too many levels to scan."""
+    levels, level_of = np.unique(table, return_inverse=True)
+    cdf = np.cumsum(np.bincount(level_of, weights=probs, minlength=levels.size))
+    law = 1.0 - (1.0 - cdf) ** shots_s
+    return levels[np.minimum(np.searchsorted(law, uniforms, side="right"), levels.size - 1)]
+
+
 class TestMeasuredDistribution:
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     @pytest.mark.parametrize("flip", [0.0, 0.02, 0.5])
@@ -369,7 +388,8 @@ class TestMeasurementKernel:
 
     @pytest.mark.parametrize("flip", [0.0, 0.02, 0.5])
     @pytest.mark.parametrize("shape", [(1,), (1000,), (65535,), (65537,)])
-    @pytest.mark.parametrize("n, sparse", [(1, False), (2, False), (8, False), (9, True)])
+    @pytest.mark.parametrize("n, sparse", [(1, False), (2, False), (8, False), (9, True),
+                                           (18, True)])
     def test_measure_matches_reference(self, n, sparse, shape, flip):
         # the generator starts at n = 2
         inst = generate_synthetic_q(n, seed=n) if n > 1 else QuboInstance(1, [[0.03]], k=1)
@@ -382,10 +402,15 @@ class TestMeasurementKernel:
         (shots_s,) = shape
         got = sample_shots(state, inst, shots_s, NoiseConfig(flip), shots_s)
         assert got.shape == shape
-        expected = reference_run_minima(
-            reference_measured_distribution(state, flip), energy_table(inst), 1,
-            np.random.default_rng(shots_s).random(shots_s),
-        )
+        uniforms = np.random.default_rng(shots_s).random(shots_s)
+        if n <= 9:
+            expected = reference_run_minima(
+                reference_measured_distribution(state, flip), energy_table(inst), 1, uniforms,
+            )
+        else:
+            expected = reference_run_minima_by_level(
+                reference_flipped_distribution(state, flip), energy_table(inst), 1, uniforms,
+            )
         assert np.array_equal(got, expected)
 
 
