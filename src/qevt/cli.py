@@ -1,9 +1,16 @@
 """Command-line entry point.
 
 Subcommands: generate, solve-sa, estimate, validate, shot-sweep, sample-size.
-Configuration comes from an optional JSON file (--config) with per-command
-flag overrides; every command takes --seed and --out-dir.  Exit codes are
-part of the contract:
+Every command but generate takes --config (an optional JSON experiment
+config), --seed and --out-dir, and flags that override the config.  A flag
+that overrides the config names the ``ExperimentConfig`` field it sets in
+its argparse ``dest`` (``--noise`` sets ``readout_flip_prob``), and a field
+of a nested block as ``block.field`` (``--n-min`` sets ``sample_size.n_min``,
+``--sweeps`` sets ``sa.sweeps``).  ``_load_config`` applies every such flag
+that was given.  The instance comes from --instance, else --n/--k/
+--instance-seed, else the config file, else the output directory's
+``instance.json``.  Other flags are arguments of the command itself.  Exit
+codes are part of the contract:
 
     0  success
     2  configuration error
@@ -21,6 +28,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -44,7 +52,6 @@ from .pipeline import (
     run_solve_sa,
     run_validate,
 )
-from .sample_size import SampleSizeConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,6 +62,7 @@ EXIT_IO = 5
 EXIT_LOCKED = 6
 
 LOCK_NAME = ".qevt.lock"
+CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 class _Lock:
@@ -92,7 +100,7 @@ def _add_common(parser):
 
 
 def _add_instance_flags(parser):
-    parser.add_argument("--instance", type=Path, help="instance file (.json or .csv)")
+    parser.add_argument("--instance", dest="instance_path", help="instance file (.json or .csv)")
     parser.add_argument("--n", type=int, help="synthetic instance size")
     parser.add_argument("--k", type=int, help="synthetic cardinality target")
     parser.add_argument("--instance-seed", type=int, default=0, help="synthetic generator seed")
@@ -117,18 +125,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-sa", help="run the simulated-annealing baseline")
     _add_common(p)
     _add_instance_flags(p)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--restarts", type=int)
+    p.add_argument("--sweeps", dest="sa.sweeps", type=int)
+    p.add_argument("--restarts", dest="sa.restarts", type=int)
 
     p = sub.add_parser("estimate", help="full pipeline: baseline, QAOA, fits, run counts")
     _add_common(p)
     _add_instance_flags(p)
-    p.add_argument("--shots", type=int, nargs="+", help="shots grid override")
+    p.add_argument("--shots", dest="shots_grid", type=int, nargs="+", help="shots grid override")
     p.add_argument("--runs", type=int, help="extreme samples per shots setting")
-    p.add_argument("--alpha", type=float, nargs="+", help="confidence levels")
-    p.add_argument("--noise", type=float, help="readout flip probability")
-    p.add_argument("--depth", type=int, help="circuit depth")
-    p.add_argument("--y-ideal", type=float, help="override the baseline energy")
+    p.add_argument("--alpha", dest="alphas", type=float, nargs="+", help="confidence levels")
+    p.add_argument("--noise", dest="readout_flip_prob", type=float,
+                   help="readout flip probability")
+    p.add_argument("--depth", dest="qaoa_depth", type=int, help="circuit depth")
+    p.add_argument("--y-ideal", dest="y_ideal_override", type=float,
+                   help="override the baseline energy")
 
     p = sub.add_parser("validate", help="empirical check of an estimated run count")
     _add_common(p)
@@ -142,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shot-sweep", help="average best energy across a shots grid")
     _add_common(p)
     _add_instance_flags(p)
-    p.add_argument("--shots", type=int, nargs="+", help="grid override")
+    p.add_argument("--shots", dest="shots_grid", type=int, nargs="+", help="grid override")
     p.add_argument("--reps", type=int, default=20)
 
     p = sub.add_parser("sample-size", help="estimate how many extreme samples a fit needs")
@@ -150,11 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p)
     p.add_argument("--pool", type=Path, help="extreme-sample CSV (min_energy column)")
     p.add_argument("--shots", type=int, help="shots setting for pool lookup/collection")
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--inner-draws", type=int)
-    p.add_argument("--outer-reps", type=int)
-    p.add_argument("--stride", type=int)
+    p.add_argument("--n-min", dest="sample_size.n_min", type=int)
+    p.add_argument("--n-max", dest="sample_size.n_max", type=int)
+    p.add_argument("--inner-draws", dest="sample_size.inner_draws", type=int)
+    p.add_argument("--outer-reps", dest="sample_size.outer_reps", type=int)
+    p.add_argument("--stride", dest="sample_size.stride", type=int)
     return parser
 
 
@@ -168,15 +178,10 @@ def _load_config(args) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
 
-    if getattr(args, "instance", None):
-        payload["instance_path"] = str(args.instance)
+    if getattr(args, "instance_path", None):
         payload.pop("synthetic", None)
     elif getattr(args, "n", None):
-        payload["synthetic"] = {
-            "n": args.n,
-            "k": getattr(args, "k", None),
-            "seed": getattr(args, "instance_seed", 0),
-        }
+        payload["synthetic"] = {"n": args.n, "k": args.k, "seed": args.instance_seed}
         payload.pop("instance_path", None)
     elif not payload.get("instance_path") and not payload.get("synthetic"):
         # commands operating on a populated output directory reuse its instance
@@ -184,44 +189,14 @@ def _load_config(args) -> ExperimentConfig:
         if persisted.exists():
             payload["instance_path"] = str(persisted)
 
-    if getattr(args, "seed", None) is not None:
-        payload["seed"] = args.seed
-    for flag, key in (
-        ("runs", "runs"),
-        ("noise", "readout_flip_prob"),
-        ("depth", "qaoa_depth"),
-        ("y_ideal", "y_ideal_override"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            payload[key] = value
-    if getattr(args, "alpha", None) is not None and isinstance(args.alpha, list):
-        payload["alphas"] = args.alpha
-    if args.command == "estimate" and getattr(args, "shots", None):
-        payload["shots_grid"] = args.shots
-    if args.command == "solve-sa":
-        sa = dict(payload.get("sa") or {})
-        if args.sweeps is not None:
-            sa["sweeps"] = args.sweeps
-        if args.restarts is not None:
-            sa["restarts"] = args.restarts
-        if sa:
-            payload["sa"] = sa
-    if args.command == "sample-size":
-        ss = dict(payload.get("sample_size") or {})
-        for flag, key in (
-            ("n_min", "n_min"),
-            ("n_max", "n_max"),
-            ("inner_draws", "inner_draws"),
-            ("outer_reps", "outer_reps"),
-            ("stride", "stride"),
-        ):
-            value = getattr(args, flag, None)
-            if value is not None:
-                ss[key] = value
-        if ss:
-            ss.setdefault("seed", payload.get("seed", 0))
-            payload["sample_size"] = ss
+    for dest, value in vars(args).items():
+        block, _, name = dest.rpartition(".")
+        if value is None or (block or dest) not in CONFIG_FIELDS:
+            continue
+        if block:
+            payload[block] = {**(payload.get(block) or {}), name: value}
+        else:
+            payload[dest] = value
     return ExperimentConfig.from_dict(payload)
 
 
@@ -284,7 +259,7 @@ def _dispatch(args) -> int:
                       f"(exact {point['exact_ratio']:.3f})")
             return EXIT_OK
         if args.command == "shot-sweep":
-            payload = run_shot_sweep(cfg, out_dir, grid=args.shots, reps=args.reps)
+            payload = run_shot_sweep(cfg, out_dir, reps=args.reps)
             for point in payload["points"]:
                 print(f"shots={point['shots_s']}: mean min energy {point['mean_min_energy']:.6g}")
             if payload["high_variance"]:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import SaConfig, default_sa_config, simulated_annealing
+from .annealing import default_sa_config, simulated_annealing
 from .errors import ConfigError, DegenerateSamplesError
 from .gev import (
     GevParams,
@@ -121,9 +121,12 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         payload = dict(payload)
-        for name, block in (("synthetic", SyntheticSpec), ("sample_size", SampleSizeConfig)):
-            if payload.get(name) is not None:
-                payload[name] = _from_fields(block, payload[name], name)
+        if payload.get("synthetic") is not None:
+            payload["synthetic"] = _from_fields(SyntheticSpec, payload["synthetic"], "synthetic")
+        if payload.get("sample_size") is not None:
+            payload["sample_size"] = sample_size_config(
+                payload.get("seed", cls.seed), payload["sample_size"]
+            )
         return _from_fields(cls, payload, "config")
 
     def config_hash(self) -> str:
@@ -137,6 +140,14 @@ def _from_fields(cls, payload: dict, what: str):
     if extra:
         raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
     return cls(**payload)
+
+
+def sample_size_config(master_seed: int, block: dict | None = None) -> SampleSizeConfig:
+    """The bootstrap's config from a ``sample_size`` block.  A block that
+    names no ``seed``, or no block at all, draws on the master seed's
+    "sample-size" stream."""
+    block = {"seed": derive_seed(master_seed, "sample-size"), **(block or {})}
+    return _from_fields(SampleSizeConfig, block, "sample_size")
 
 
 def write_json(path, payload) -> None:
@@ -186,10 +197,13 @@ def run_generate(spec: SyntheticSpec, out_path) -> dict:
 
 
 def run_solve_sa(cfg: ExperimentConfig, out_dir) -> dict:
-    out = Path(out_dir)
+    return _solve_sa(cfg, *resolve_instance(cfg), Path(out_dir))
+
+
+def _solve_sa(cfg: ExperimentConfig, inst: QuboInstance, desc: dict, out: Path) -> dict:
+    """The SA baseline of the resolved instance, written to ``baseline.json``."""
     out.mkdir(parents=True, exist_ok=True)
-    inst, desc = resolve_instance(cfg)
-    sa_cfg = build_sa_config(cfg, inst)
+    sa_cfg = default_sa_config(inst, **{"seed": derive_seed(cfg.seed, "sa"), **(cfg.sa or {})})
     bits, energy = simulated_annealing(inst, sa_cfg)
     payload = {
         "x": [int(b) for b in bits],
@@ -202,49 +216,56 @@ def run_solve_sa(cfg: ExperimentConfig, out_dir) -> dict:
     return payload
 
 
-def build_sa_config(cfg: ExperimentConfig, inst: QuboInstance) -> SaConfig:
-    overrides = dict(cfg.sa or {})
-    overrides.setdefault("seed", derive_seed(cfg.seed, "sa"))
-    return default_sa_config(inst, **overrides)
+def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
+    """Resolve a sampling command's inputs: ``(inst, desc, y_ideal, params, law)``.
 
-
-def _optimizer_config(cfg: ExperimentConfig) -> OptimizerConfig:
-    return OptimizerConfig(
-        restarts=cfg.qaoa_restarts,
-        maxiter=cfg.qaoa_maxiter,
-        seed=derive_seed(cfg.seed, "qaoa-opt"),
-        initial_state=cfg.initial_state,
-    )
-
-
-def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir) -> tuple[QuboInstance, float, QaoaParams]:
-    """Load instance/baseline/angles from ``out_dir`` or compute and persist them.
-
-    Sampling dominates runtime, so tuned angles and the SA baseline are reused
-    across subcommands rather than recomputed.
+    The instance is the one ``cfg`` names, built once.  The stage files in
+    ``out_dir`` are reused, ``baseline.json`` for the SA baseline and
+    ``qaoa_params.json`` for the angles; a missing one is computed on that
+    instance and written.  An ``instance.json`` that holds another instance
+    (``n``, ``k``, ``penalty_weight`` or ``q`` differ) is refused with
+    ConfigError before SA or the optimizer runs and before any file is
+    written.  ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is
+    the circuit's run-minimum law under ``cfg``'s readout noise, built once
+    for all of the command's draws.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    inst, desc = resolve_instance(cfg)
     inst_path = out / "instance.json"
     if inst_path.exists():
-        inst = load_instance(inst_path)
+        stored = load_instance(inst_path)
+        same = (stored.n, stored.k, stored.penalty_weight) == (inst.n, inst.k, inst.penalty_weight)
+        if not (same and np.array_equal(stored.q, inst.q)):
+            raise ConfigError(
+                f"{inst_path} holds another instance than the config names; "
+                "use a fresh output directory"
+            )
     else:
-        inst, _ = resolve_instance(cfg)
+        out.mkdir(parents=True, exist_ok=True)
         save_instance(inst, inst_path)
 
     baseline_path = out / "baseline.json"
     if baseline_path.exists():
         y_ideal = float(read_json(baseline_path)["energy"])
     else:
-        y_ideal = run_solve_sa(cfg, out)["energy"]
+        y_ideal = _solve_sa(cfg, inst, desc, out)["energy"]
+    if cfg.y_ideal_override is not None:
+        y_ideal = float(cfg.y_ideal_override)
 
     params_path = out / "qaoa_params.json"
     if params_path.exists():
         params = QaoaParams.from_dict(read_json(params_path))
     else:
-        params = optimize_parameters(inst, cfg.qaoa_depth, _optimizer_config(cfg))
+        optimizer = OptimizerConfig(
+            restarts=cfg.qaoa_restarts,
+            maxiter=cfg.qaoa_maxiter,
+            seed=derive_seed(cfg.seed, "qaoa-opt"),
+            initial_state=cfg.initial_state,
+        )
+        params = optimize_parameters(inst, cfg.qaoa_depth, optimizer)
         write_json(params_path, params.to_dict())
-    return inst, y_ideal, params
+    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+    return inst, desc, y_ideal, params, law
 
 
 def _gev_density_svg(
@@ -288,12 +309,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     count sentinel).
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
-    _, desc = resolve_instance(cfg)
-    if cfg.y_ideal_override is not None:
-        y_ideal = float(cfg.y_ideal_override)
-    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+    inst, desc, y_ideal, params, law = ensure_stage_artifacts(cfg, out)
 
     seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
     per_shots = []
@@ -486,18 +502,19 @@ def run_validate(
 
 
 def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) -> dict:
-    """Average per-run minimum across a shots grid, against the SA baseline."""
+    """Average per-run minimum across a shots grid, against the SA baseline.
+
+    ``grid`` replaces ``cfg.shots_grid``, so the provenance hashes the grid
+    that was swept."""
     if reps < 1:
         raise ConfigError("reps must be positive")
-    grid = tuple(int(s) for s in (grid or cfg.shots_grid))
-    if not grid or any(s < 1 for s in grid):
-        raise ConfigError("shots grid must be non-empty positive integers")
+    if grid is not None:
+        cfg = replace(cfg, shots_grid=grid)
     out = Path(out_dir)
-    inst, y_ideal, params = ensure_stage_artifacts(cfg, out)
-    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+    inst, _, y_ideal, _, law = ensure_stage_artifacts(cfg, out)
 
     points = []
-    for shots_s in grid:
+    for shots_s in cfg.shots_grid:
         minima = run_minima_batch(
             None, inst, shots_s, reps, seed=derive_seed(cfg.seed, "sweep", shots_s), law=law
         )
@@ -522,12 +539,14 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) ->
     )
     (out / "sweep.svg").write_text(svg)
     payload = {
-        "grid": list(grid),
+        "grid": list(cfg.shots_grid),
         "reps": reps,
         "y_ideal": y_ideal,
         "points": points,
         "high_variance": reps == 1,
-        "provenance": _provenance(cfg, {"sweep": derive_seed(cfg.seed, "sweep", grid[0])}),
+        "provenance": _provenance(
+            cfg, {"sweep": derive_seed(cfg.seed, "sweep", cfg.shots_grid[0])}
+        ),
     }
     write_json(out / "sweep.json", payload)
     return payload
@@ -558,7 +577,7 @@ def run_sample_size(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ss_cfg = cfg.sample_size or SampleSizeConfig(seed=derive_seed(cfg.seed, "sample-size"))
+    ss_cfg = cfg.sample_size or sample_size_config(cfg.seed)
     pool_source: dict
     if pool_path is not None:
         pool = _load_pool_csv(pool_path)
@@ -570,8 +589,7 @@ def run_sample_size(
             pool = _load_pool_csv(existing)
             pool_source = {"kind": "csv", "path": existing.name}
         else:
-            inst, _, params = ensure_stage_artifacts(cfg, out)
-            law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+            inst, _, _, params, law = ensure_stage_artifacts(cfg, out)
             pool = collect_extreme_samples(
                 inst, params, shots_s, cfg.pool_runs,
                 seed=derive_seed(cfg.seed, "pool", shots_s), law=law,

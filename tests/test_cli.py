@@ -1,20 +1,25 @@
 """CLI commands, artifact files, exit codes, and full-pipeline determinism."""
 
+import argparse
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import qevt.pipeline
 import qevt.qaoa
+from qevt.annealing import SaConfig
 from qevt.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE,
     EXIT_LOCKED,
     EXIT_OK,
     EXIT_UNREACHABLE,
+    build_parser,
     main,
 )
 from qevt.pipeline import (
@@ -29,6 +34,7 @@ from qevt.pipeline import (
 from qevt.qaoa import QaoaParams, circuit_state
 from qevt.qubo import energy_table, load_instance, to_ising
 from qevt.sample_size import SampleSizeConfig
+from qevt.seeding import derive_seed
 
 
 def fast_config(out_seed=0, **overrides):
@@ -170,6 +176,32 @@ class TestEstimatePipeline:
         ((_, circuit_kwargs),) = calls["circuit_state"]
         (((_, law_table), _),) = calls["_run_minimum_law"]
         assert law_table is circuit_kwargs["energies"]
+
+    def test_cold_estimate_builds_the_instance_once(self, tmp_path, monkeypatch):
+        # SA, the angle optimizer and the sampler all run on the one
+        # instance the resolver built
+        calls = []
+        original = qevt.pipeline.generate_synthetic_q
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qevt.pipeline, "generate_synthetic_q", counted)
+        run_estimate(fast_config(shots_grid=(100,), runs=30), tmp_path)
+        assert len(calls) == 1
+
+    def test_stale_stage_refused(self, tmp_path, capsys):
+        # a directory staged for one instance is not reused for another:
+        # its baseline and angles belong to the instance it holds
+        args = ["estimate", "--n", "6", "--shots", "20", "--runs", "30", "--seed", "1",
+                "--out-dir", str(tmp_path)]
+        main(args + ["--instance-seed", "1"])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert "report.json" in before
+        assert main(args + ["--instance-seed", "2"]) == EXIT_CONFIG
+        assert "instance.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_degenerate_instance_exit_code(self, tmp_path, capsys):
         # tiny instance: every run finds the optimum, extremes collapse
@@ -324,6 +356,16 @@ class TestShotSweepCommand:
         payload = json.loads((out / "sweep.json").read_text())
         # baseline reused from the estimate stage, not recomputed
         assert payload["y_ideal"] == report["y_ideal"]
+        # the provenance hashes the config with the grid that was swept
+        swept = ExperimentConfig(instance_path=str(out / "instance.json"),
+                                 shots_grid=(100, 200), seed=cfg.seed)
+        assert payload["provenance"]["config_hash"] == swept.config_hash()
+
+    def test_zero_shots_is_a_config_error(self, tmp_path, capsys):
+        code = main(["shot-sweep", "--n", "6", "--shots", "0", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "shots_grid must be non-empty positive integers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSampleSizeCommand:
@@ -360,6 +402,31 @@ class TestSampleSizeCommand:
         assert code == EXIT_CONFIG
         assert "pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--stride", "5"], ["--config"]])
+    def test_bootstrap_seed_does_not_depend_on_the_block_source(
+        self, tmp_path, pool_csv, monkeypatch, extra
+    ):
+        # no flag, a flag at its default value, or a config-file block
+        # without a seed: all draw on the master seed's "sample-size" stream
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def recorded(pool, ss_cfg, theta_sim):
+            seen.append(ss_cfg)
+            raise Stop
+
+        monkeypatch.setattr(qevt.pipeline, "estimate_required_extremes", recorded)
+        if extra == ["--config"]:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"synthetic": {"n": 10}, "sample_size": {"stride": 5}}))
+            extra = ["--config", str(path)]
+        with pytest.raises(Stop):
+            main(["sample-size", "--pool", str(pool_csv), "--n", "10", "--seed", "3",
+                  "--out-dir", str(tmp_path / "out"), *extra])
+        assert seen == [SampleSizeConfig(seed=derive_seed(3, "sample-size"))]
+
     def test_deterministic_json(self, tmp_path, pool_csv):
         args = [
             "sample-size", "--pool", str(pool_csv), "--n", "10",
@@ -386,6 +453,27 @@ class TestLockfile:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_OK
         assert not (tmp_path / ".qevt.lock").exists()
+
+
+# flags that are arguments of their command rather than config overrides
+COMMAND_ARGUMENTS = {
+    "help", "command", "config", "out_dir", "output",
+    "n", "k", "instance_seed", "magnitude", "signal_to_noise",  # the instance source
+    "shots", "alpha", "n_evt", "delta_min", "delta_max", "trials", "reps", "pool",
+}
+
+
+def test_every_flag_names_a_config_field_or_a_command_argument():
+    # _load_config applies a flag by its dest; a dest that names no field
+    # and is not a command argument would be dropped without a word
+    nested = {"sample_size": SampleSizeConfig, "sa": SaConfig}
+    allowed = {f.name for f in fields(ExperimentConfig)} | COMMAND_ARGUMENTS
+    allowed |= {f"{block}.{f.name}" for block, cls in nested.items() for f in fields(cls)}
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            assert action.dest in allowed, (name, action.dest)
 
 
 class TestConfigFile:
