@@ -6,11 +6,11 @@ config), --seed and --out-dir, and flags that override the config.  A flag
 that overrides the config names the ``ExperimentConfig`` field it sets in
 its argparse ``dest`` (``--noise`` sets ``readout_flip_prob``), and a field
 of a nested block as ``block.field`` (``--n-min`` sets ``sample_size.n_min``,
-``--sweeps`` sets ``sa.sweeps``).  ``_load_config`` applies every such flag
-that was given.  The instance comes from --instance, else --n/--k/
---instance-seed, else the config file, else the output directory's
-``instance.json``.  Other flags are arguments of the command itself.  Exit
-codes are part of the contract:
+``--n`` sets ``synthetic.n``).  ``_load_config`` applies each flag given.
+--instance drops the config file's ``synthetic`` block and --n/--k/
+--instance-seed its ``instance_path``; with neither, the instance is the
+file's, else the output directory's ``instance.json``.  Other flags are
+arguments of the command itself.  Exit codes are part of the contract:
 
     0  success
     2  configuration error
@@ -101,9 +101,9 @@ def _add_common(parser):
 
 def _add_instance_flags(parser):
     parser.add_argument("--instance", dest="instance_path", help="instance file (.json or .csv)")
-    parser.add_argument("--n", type=int, help="synthetic instance size")
-    parser.add_argument("--k", type=int, help="synthetic cardinality target")
-    parser.add_argument("--instance-seed", type=int, default=0, help="synthetic generator seed")
+    parser.add_argument("--n", dest="synthetic.n", type=int, help="synthetic instance size")
+    parser.add_argument("--k", dest="synthetic.k", type=int, help="synthetic cardinality target")
+    parser.add_argument("--instance-seed", dest="synthetic.seed", type=int, help="generator seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,10 +178,11 @@ def _load_config(args) -> ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
 
-    if getattr(args, "instance_path", None):
+    flags = {dest: value for dest, value in vars(args).items()
+             if value is not None and dest.partition(".")[0] in CONFIG_FIELDS}
+    if "instance_path" in flags:
         payload.pop("synthetic", None)
-    elif getattr(args, "n", None):
-        payload["synthetic"] = {"n": args.n, "k": args.k, "seed": args.instance_seed}
+    elif any(dest.startswith("synthetic.") for dest in flags):
         payload.pop("instance_path", None)
     elif not payload.get("instance_path") and not payload.get("synthetic"):
         # commands operating on a populated output directory reuse its instance
@@ -189,10 +190,8 @@ def _load_config(args) -> ExperimentConfig:
         if persisted.exists():
             payload["instance_path"] = str(persisted)
 
-    for dest, value in vars(args).items():
+    for dest, value in flags.items():
         block, _, name = dest.rpartition(".")
-        if value is None or (block or dest) not in CONFIG_FIELDS:
-            continue
         if block:
             payload[block] = {**(payload.get(block) or {}), name: value}
         else:

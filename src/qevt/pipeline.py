@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import default_sa_config, simulated_annealing
+from .annealing import SaConfig, default_sa_config, simulated_annealing
 from .errors import ConfigError, DegenerateSamplesError
 from .gev import (
     GevParams,
@@ -110,6 +110,9 @@ class ExperimentConfig:
             raise ConfigError("readout_flip_prob must lie in [0, 0.5]")
         if not self.shots_grid or any(s < 1 for s in self.shots_grid):
             raise ConfigError("shots_grid must be non-empty positive integers")
+        if len(set(self.shots_grid)) < len(self.shots_grid):
+            raise ConfigError(f"shots_grid repeats a setting: {list(self.shots_grid)}")
+        _known_fields(SaConfig, self.sa or {}, "sa")
         if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
             raise ConfigError("alphas must lie in (0, 1)")
         object.__setattr__(self, "shots_grid", tuple(int(s) for s in self.shots_grid))
@@ -122,24 +125,27 @@ class ExperimentConfig:
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
         payload = dict(payload)
         if payload.get("synthetic") is not None:
-            payload["synthetic"] = _from_fields(SyntheticSpec, payload["synthetic"], "synthetic")
+            spec = _known_fields(SyntheticSpec, payload["synthetic"], "synthetic")
+            if "n" not in spec:
+                raise ConfigError("a synthetic instance needs its size n")
+            payload["synthetic"] = SyntheticSpec(**spec)
         if payload.get("sample_size") is not None:
             payload["sample_size"] = sample_size_config(
                 payload.get("seed", cls.seed), payload["sample_size"]
             )
-        return _from_fields(cls, payload, "config")
+        return cls(**_known_fields(cls, payload, "config"))
 
     def config_hash(self) -> str:
         canonical = json.dumps(jsonable(self.to_dict()), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _from_fields(cls, payload: dict, what: str):
-    """``cls(**payload)``, rejecting keys that are not fields of ``cls``."""
+def _known_fields(cls, payload: dict, what: str) -> dict:
+    """``payload``, refused with ConfigError if a key is not a field of ``cls``."""
     extra = set(payload) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
-    return cls(**payload)
+    return payload
 
 
 def sample_size_config(master_seed: int, block: dict | None = None) -> SampleSizeConfig:
@@ -147,7 +153,7 @@ def sample_size_config(master_seed: int, block: dict | None = None) -> SampleSiz
     names no ``seed``, or no block at all, draws on the master seed's
     "sample-size" stream."""
     block = {"seed": derive_seed(master_seed, "sample-size"), **(block or {})}
-    return _from_fields(SampleSizeConfig, block, "sample_size")
+    return SampleSizeConfig(**_known_fields(SampleSizeConfig, block, "sample_size"))
 
 
 def write_json(path, payload) -> None:
@@ -268,116 +274,116 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     return inst, desc, y_ideal, params, law
 
 
-def _gev_density_svg(
-    extremes: np.ndarray, fitted: GevParams, shots_s: int, hits: int, route: str
-) -> str:
-    """Histogram of the run minima under the fitted law; the title names the
-    hit count and the route the answer took, since with ``hit_rate`` the
-    plotted law is not where the answer came from."""
-    lo, hi = float(extremes.min()), float(extremes.max())
+def _gev_density_svg(minima: np.ndarray, entry: dict) -> str:
+    """Histogram of the run minima under the entry's fitted law; the title
+    names the hit count and the route the answer took, since with
+    ``hit_rate`` the plotted law is not where the answer came from."""
+    fit = entry["gev"]
+    lo, hi = float(minima.min()), float(minima.max())
     pad = 0.1 * (hi - lo or 1.0)
     xs = np.linspace(lo - pad, hi + pad, 200)
     # fitted law lives in the negated (maxima) domain; map back to minima
-    ys = gev_pdf(fitted, -xs)
+    ys = gev_pdf(GevParams(fit["mu"], fit["sigma"], fit["xi"]), -xs)
     return histogram_with_curve(
-        extremes,
+        minima,
         xs,
         ys,
         title=(
-            f"Fitted GEV density, s={shots_s} "
-            f"(hits {hits}/{extremes.size} at the baseline, answer via {route})"
+            f"Fitted GEV density, s={entry['shots_s']} (hits {entry['hits']}/{minima.size} "
+            f"at the baseline, answer via {entry['estimates'][0]['route']})"
         ),
         xlabel="per-run minimum energy",
     )
 
 
+def answer_minima(minima_by_s: dict, y_ideal: float, alphas, jitter_seeds: dict) -> list[dict]:
+    """One report entry per shots setting ``s``, from its run minima alone; no I/O.
+
+    ``hits`` counts the runs in ``minima_by_s[s]`` that meet the baseline.
+    The minima, jittered on ``jitter_seeds[s]``, get a GEV fit (``gev``) and
+    one :func:`qevt.gev.estimate_runs` per alpha, whose ``route`` is
+    ``hit_rate`` (success probability hits / runs, the mass of the atom at
+    y_ideal) when any run met the baseline and ``gev`` (the fitted tail at
+    y_ideal) when none did.  All-equal minima cannot be fitted; their entry
+    holds ``breakdown`` and ``detail`` instead.
+    """
+    entries = []
+    for shots_s, minima in minima_by_s.items():
+        entry = {"shots_s": shots_s, "hits": count_hits(minima, y_ideal)}
+        entries.append(entry)
+        try:
+            smoothed = jitter(minima, jitter_seeds[shots_s])
+            fitted = fit_gev_minima(smoothed)
+        except DegenerateSamplesError as exc:
+            entry.update(breakdown=BREAKDOWN_DEGENERATE, detail=str(exc))
+            continue
+        entry["gev"] = {
+            **asdict(fitted),
+            "nll": gev_nll(fitted, -smoothed.values),
+            "delta": smoothed.delta,
+            "seed": smoothed.seed,
+            "n_samples": int(smoothed.values.size),
+        }
+        entry["estimates"] = [
+            asdict(estimate_runs(minima, fitted, y_ideal, alpha, shots_s)) for alpha in alphas
+        ]
+    return entries
+
+
 def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     """Full estimation pipeline; returns the report (also written to disk).
 
-    Per shots setting the run minima are collected, jittered and fitted with
-    a GEV law, and ``hits`` counts the runs that meet the baseline.  Each
-    estimate then takes one of the two routes of
-    :func:`qevt.gev.estimate_runs`: ``hit_rate`` (success probability
-    hits / runs, the mass of the atom the minima put at y_ideal) when any
-    run met the baseline, ``gev`` (the fitted tail at y_ideal) when none
-    did.  Every estimate records its ``route`` and the fitted law's own
-    probability, ``fitted_prob``.
+    Collects every shots setting's run minima, each on its own seed, before
+    any fit; :func:`answer_minima` answers them; then ``extremes_s*.csv``,
+    ``fit_s*.json``, ``gev_s*.svg`` and ``report.json`` are written from its
+    entries, so a fit that raises leaves none of them.
 
-    The report's ``status`` field distinguishes a clean run ("ok") from the
-    two breakdown modes: "degenerate" (no output variability at some shots
-    setting) and "unreachable" (zero success probability, infinite run
-    count sentinel).
+    The report's ``status`` is "ok" or names a breakdown: "degenerate" (no
+    output variability at some shots setting) or "unreachable" (zero
+    success probability, infinite run count sentinel).
     """
     out = Path(out_dir)
     inst, desc, y_ideal, params, law = ensure_stage_artifacts(cfg, out)
 
-    seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
-    per_shots = []
-    any_degenerate = False
-    any_unreachable = False
-    for shots_s in cfg.shots_grid:
-        extremes_seed = derive_seed(cfg.seed, "extremes", shots_s)
-        seeds[f"extremes_s{shots_s}"] = extremes_seed
-        extremes = collect_extreme_samples(
-            inst, params, shots_s, cfg.runs, seed=extremes_seed, law=law
-        )
-        csv_name = f"extremes_s{shots_s}.csv"
+    extremes_seeds = {s: derive_seed(cfg.seed, "extremes", s) for s in cfg.shots_grid}
+    minima_by_s = {
+        s: collect_extreme_samples(inst, params, s, cfg.runs, seed=seed, law=law)
+        for s, seed in extremes_seeds.items()
+    }
+    jitter_seeds = {s: derive_seed(cfg.seed, "jitter", s) for s in cfg.shots_grid}
+    entries = answer_minima(minima_by_s, y_ideal, cfg.alphas, jitter_seeds)
+
+    for entry in entries:
+        shots_s = entry["shots_s"]
+        minima, seed = minima_by_s[shots_s], extremes_seeds[shots_s]
+        entry["extremes_csv"] = f"extremes_s{shots_s}.csv"
         write_csv(
-            out / csv_name,
+            out / entry["extremes_csv"],
             ["run_index", "seed", "min_energy", "shots_s"],
             [
-                (r, derive_seed(extremes_seed, "extreme-run", r), repr(float(e)), shots_s)
-                for r, e in enumerate(extremes)
+                (r, derive_seed(seed, "extreme-run", r), repr(float(e)), shots_s)
+                for r, e in enumerate(minima)
             ],
         )
-        entry = {"shots_s": shots_s, "extremes_csv": csv_name,
-                 "hits": count_hits(extremes, y_ideal)}
-        jitter_seed = derive_seed(cfg.seed, "jitter", shots_s)
-        try:
-            smoothed = jitter(extremes, jitter_seed)
-            fitted = fit_gev_minima(smoothed)
-        except DegenerateSamplesError as exc:
-            entry["breakdown"] = BREAKDOWN_DEGENERATE
-            entry["detail"] = str(exc)
-            any_degenerate = True
-            per_shots.append(entry)
-            continue
-        fit_info = {
-            "mu": fitted.mu,
-            "sigma": fitted.sigma,
-            "xi": fitted.xi,
-            "nll": gev_nll(fitted, -smoothed.values),
-            "delta": smoothed.delta,
-            "seed": jitter_seed,
-            "n_samples": int(smoothed.values.size),
-        }
-        write_json(out / f"fit_s{shots_s}.json", fit_info)
-        entry["gev"] = fit_info
-        estimates = []
-        for alpha in cfg.alphas:
-            est = estimate_runs(extremes, fitted, y_ideal, alpha, shots_s)
-            if not math.isfinite(est.n_evt):
-                any_unreachable = True
-            estimates.append(asdict(est))
-        entry["estimates"] = estimates
-        svg_name = f"gev_s{shots_s}.svg"
-        svg = _gev_density_svg(extremes, fitted, shots_s, entry["hits"], estimates[0]["route"])
-        (out / svg_name).write_text(svg)
-        entry["svg"] = svg_name
-        per_shots.append(entry)
+        if "gev" in entry:
+            write_json(out / f"fit_s{shots_s}.json", entry["gev"])
+            entry["svg"] = f"gev_s{shots_s}.svg"
+            (out / entry["svg"]).write_text(_gev_density_svg(minima, entry))
 
     status = STATUS_OK
-    if any_degenerate:
+    if any("breakdown" in entry for entry in entries):
         status = STATUS_DEGENERATE
-    elif any_unreachable:
+    elif any(not math.isfinite(est["n_evt"]) for entry in entries for est in entry["estimates"]):
         status = STATUS_UNREACHABLE
+    seeds = {"sa": derive_seed(cfg.seed, "sa"), "qaoa_opt": derive_seed(cfg.seed, "qaoa-opt")}
+    seeds.update({f"extremes_s{s}": seed for s, seed in extremes_seeds.items()})
     report = {
         "instance": desc,
         "y_ideal": y_ideal,
         "qaoa_params": params.to_dict(),
         "noise": {"readout_flip_prob": cfg.readout_flip_prob},
         "runs": cfg.runs,
-        "per_shots": per_shots,
+        "per_shots": entries,
         "status": status,
         "provenance": _provenance(cfg, seeds),
     }
@@ -501,15 +507,10 @@ def run_validate(
     return payload
 
 
-def run_shot_sweep(cfg: ExperimentConfig, out_dir, grid=None, reps: int = 20) -> dict:
-    """Average per-run minimum across a shots grid, against the SA baseline.
-
-    ``grid`` replaces ``cfg.shots_grid``, so the provenance hashes the grid
-    that was swept."""
+def run_shot_sweep(cfg: ExperimentConfig, out_dir, reps: int = 20) -> dict:
+    """Average per-run minimum across ``cfg.shots_grid``, against the SA baseline."""
     if reps < 1:
         raise ConfigError("reps must be positive")
-    if grid is not None:
-        cfg = replace(cfg, shots_grid=grid)
     out = Path(out_dir)
     inst, _, y_ideal, _, law = ensure_stage_artifacts(cfg, out)
 

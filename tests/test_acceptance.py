@@ -14,10 +14,11 @@ from scipy import stats as sps
 
 import qevt
 from qevt.annealing import default_sa_config, simulated_annealing
-from qevt.gev import estimate_runs, fit_gev_minima, jitter
+from qevt.gev import fit_gev_minima, jitter
 from qevt.pipeline import (
     ExperimentConfig,
     SyntheticSpec,
+    answer_minima,
     run_estimate,
     run_shot_sweep,
     run_validate,
@@ -52,16 +53,17 @@ def estimate_n_evt(n, inst_seed, shots_s, alpha, noise_p=0.0, runs=200, master_s
     """Estimation pipeline distilled to the number it produces.
 
     The stages are called one by one so each instance keeps its own seed
-    streams; the run count itself comes from the pipeline's estimator,
-    :func:`qevt.gev.estimate_runs`, not from a copy of its logic.
+    streams; the run count itself comes from the pipeline's answer step,
+    :func:`qevt.pipeline.answer_minima`, not from a copy of its logic.
     """
     inst, params, y_ideal = tuned_instance(n, inst_seed, master_seed)
     minima = collect_extreme_samples(
         inst, params, shots_s, runs, NoiseConfig(noise_p),
         seed=derive_seed(master_seed, "extremes", inst_seed, shots_s, int(noise_p * 1000)),
     )
-    fitted = fit_gev_minima(jitter(minima, derive_seed(master_seed, "jitter", inst_seed, shots_s)))
-    return estimate_runs(minima, fitted, y_ideal, alpha, shots_s).n_evt
+    jitter_seed = derive_seed(master_seed, "jitter", inst_seed, shots_s)
+    (entry,) = answer_minima({shots_s: minima}, y_ideal, (alpha,), {shots_s: jitter_seed})
+    return entry["estimates"][0]["n_evt"]
 
 
 def test_criterion_01_qubo_ising_equivalence():
@@ -202,8 +204,8 @@ def test_criterion_10_shot_sweep_approaches_baseline(tmp_path):
     # circuit a per-shot hit probability near 1e-3, so the averaged minimum
     # starts visibly above the baseline at 500 shots and descends toward it
     spec = SyntheticSpec(n=13, k=6, seed=0, magnitude=0.3, signal_to_noise=1.0)
-    cfg = ExperimentConfig(synthetic=spec, seed=0)
-    payload = run_shot_sweep(cfg, tmp_path, grid=(500, 5000, 20000), reps=20)
+    cfg = ExperimentConfig(synthetic=spec, shots_grid=(500, 5000, 20000), seed=0)
+    payload = run_shot_sweep(cfg, tmp_path, reps=20)
     means = [p["mean_min_energy"] for p in payload["points"]]
     y_ideal = payload["y_ideal"]
     inst = spec.build()

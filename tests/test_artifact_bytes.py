@@ -2,12 +2,15 @@
 and of one sample-size run.
 
 Both samplers draw each run's minimum from the exact per-run minimum law
-at one uniform per run; the estimate and the validation have one hash each:
+at one uniform per run; the estimate has two hashes and the validation one:
 
 - ``ESTIMATE_SHA256`` covers ``report.json`` and ``extremes_s*.csv``.  Their
   per-run minima come from ``collect_extreme_samples``, run r at the first
   double of its own recorded seed, and the fits and run counts are built on
   them.
+- ``FIT_SVG_SHA256`` covers the estimate's ``fit_s*.json`` and
+  ``gev_s*.svg``: the jittered GEV fit of each setting's minima and the plot
+  of the law and the answer's route.
 - ``VALIDATE_SHA256`` covers ``validate_*.json``.  Its run minima come from
   ``run_minima_batch``, at the doubles of one generator in run order, and
   its run counts from the ``n_evt`` of the report.
@@ -40,6 +43,7 @@ from qevt.pipeline import (
 from qevt.sample_size import SampleSizeConfig
 
 ESTIMATE_SHA256 = "cccf7965ea290f20c2f8b05e03a265b30568478eaeed67f5078088ea2fe8c63a"
+FIT_SVG_SHA256 = "1fc94a844fc6f54efd439557adb408753bbdbdbb899f912b043e5864fad90af9"
 VALIDATE_SHA256 = "187aa2bf46923c7d79e99d459dee57752b405e030eee62efc2c2e7df54f0bda4"
 SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"
 
@@ -67,6 +71,9 @@ def test_noisy_n10_estimate_and_validate_bytes_are_frozen(tmp_path):
     run_validate(cfg, tmp_path, shots_s=50, alpha=0.95, delta_range=(-1, 1), trials=400)
     estimate = ["report.json", *sorted(p.name for p in tmp_path.glob("extremes_s*.csv"))]
     assert _digest(tmp_path, estimate) == ESTIMATE_SHA256
+    fit_svg = [*sorted(p.name for p in tmp_path.glob("fit_s*.json")),
+               *sorted(p.name for p in tmp_path.glob("gev_s*.svg"))]
+    assert _digest(tmp_path, fit_svg) == FIT_SVG_SHA256
     validate = sorted(p.name for p in tmp_path.glob("validate_*.json"))
     assert _digest(tmp_path, validate) == VALIDATE_SHA256
 

@@ -1,6 +1,8 @@
 """CLI commands, artifact files, exit codes, and full-pipeline determinism."""
 
 import argparse
+import csv
+import io
 import json
 import math
 from dataclasses import fields
@@ -25,6 +27,7 @@ from qevt.cli import (
 from qevt.pipeline import (
     ExperimentConfig,
     SyntheticSpec,
+    answer_minima,
     ensure_stage_artifacts,
     meets_baseline,
     run_estimate,
@@ -35,6 +38,7 @@ from qevt.qaoa import QaoaParams, circuit_state
 from qevt.qubo import energy_table, load_instance, to_ising
 from qevt.sample_size import SampleSizeConfig
 from qevt.seeding import derive_seed
+from qevt.utils import jsonable
 
 
 def fast_config(out_seed=0, **overrides):
@@ -94,6 +98,30 @@ class TestSolveSaCommand:
         assert set(payload) >= {"x", "energy", "config"}
         assert len(payload["x"]) == 8
 
+    def test_instance_flag_without_n_sets_the_config_files_instance(self, tmp_path):
+        # --k names a field of the file's synthetic block; the file keeps n and seed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthetic": {"n": 6, "seed": 1}}))
+        code = main(["solve-sa", "--config", str(path), "--k", "2", "--sweeps", "50",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        desc = json.loads((tmp_path / "out/baseline.json").read_text())["instance"]
+        assert desc == {"source": "synthetic", "n": 6, "k": 2, "seed": 1}
+
+    @pytest.mark.parametrize("config, extra", [
+        ({"instance_path": "inst.json"}, ["--k", "2"]),  # --k drops the file's instance
+        ({"synthetic": {"seed": 1}}, []),
+    ])
+    def test_synthetic_instance_without_n_is_a_config_error(
+        self, tmp_path, capsys, config, extra
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = main(["solve-sa", "--config", str(path), "--out-dir", str(tmp_path / "out"),
+                     *extra])
+        assert code == EXIT_CONFIG
+        assert "a synthetic instance needs its size n" in capsys.readouterr().err
+
 
 class TestEstimatePipeline:
     def test_report_structure(self, estimate_dir):
@@ -128,6 +156,43 @@ class TestEstimatePipeline:
         assert prov["master_seed"] == cfg.seed
         assert prov["config_hash"] == cfg.config_hash()
         assert "sa" in prov["seeds"]
+
+    def test_report_entries_are_the_answer_to_the_recorded_minima(self, estimate_dir):
+        # the report's per-shots entries are answer_minima run on the minima
+        # that extremes_s*.csv records, with the jitter seeds of fit_s*.json
+        out, cfg, _ = estimate_dir
+        report = json.loads((out / "report.json").read_text())
+        minima_by_s, jitter_seeds = {}, {}
+        for s in cfg.shots_grid:
+            with open(out / f"extremes_s{s}.csv", newline="") as fh:
+                minima_by_s[s] = np.array([float(row["min_energy"]) for row in csv.DictReader(fh)])
+            jitter_seeds[s] = json.loads((out / f"fit_s{s}.json").read_text())["seed"]
+        entries = answer_minima(minima_by_s, report["y_ideal"], cfg.alphas, jitter_seeds)
+        recorded = [{k: v for k, v in entry.items() if k not in ("extremes_csv", "svg")}
+                    for entry in report["per_shots"]]
+        assert recorded == jsonable(entries)
+
+    def test_answer_minima_writes_no_file(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"answer_minima opened {args[0]!r}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("builtins.open", forbidden)
+        monkeypatch.setattr(io, "open", forbidden)
+        minima = {20: -(np.arange(40.0) % 7), 50: np.full(40, -3.0)}
+        entries = answer_minima(minima, -6.0, (0.9, 0.95), {20: 1, 50: 2})
+        assert [sorted(entry) for entry in entries] == [
+            ["estimates", "gev", "hits", "shots_s"], ["breakdown", "detail", "hits", "shots_s"],
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_shots_setting_is_a_config_error(self, tmp_path, capsys):
+        # one extremes_s100.csv cannot hold two settings' runs
+        code = main(["estimate", "--n", "6", "--shots", "100", "100", "--runs", "30",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "shots_grid repeats a setting: [100, 100]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_byte_identical_across_directories(self, tmp_path):
         cfg = fast_config(shots_grid=(100,), runs=40)
@@ -458,7 +523,7 @@ class TestLockfile:
 # flags that are arguments of their command rather than config overrides
 COMMAND_ARGUMENTS = {
     "help", "command", "config", "out_dir", "output",
-    "n", "k", "instance_seed", "magnitude", "signal_to_noise",  # the instance source
+    "n", "k", "magnitude", "signal_to_noise",  # generate's instance
     "shots", "alpha", "n_evt", "delta_min", "delta_max", "trials", "reps", "pool",
 }
 
@@ -466,7 +531,7 @@ COMMAND_ARGUMENTS = {
 def test_every_flag_names_a_config_field_or_a_command_argument():
     # _load_config applies a flag by its dest; a dest that names no field
     # and is not a command argument would be dropped without a word
-    nested = {"sample_size": SampleSizeConfig, "sa": SaConfig}
+    nested = {"sample_size": SampleSizeConfig, "sa": SaConfig, "synthetic": SyntheticSpec}
     allowed = {f.name for f in fields(ExperimentConfig)} | COMMAND_ARGUMENTS
     allowed |= {f"{block}.{f.name}" for block, cls in nested.items() for f in fields(cls)}
     (commands,) = [a for a in build_parser()._actions
@@ -489,7 +554,7 @@ class TestConfigFile:
         with pytest.raises(Exception):
             ExperimentConfig.from_dict({"bogus": 1, "synthetic": {"n": 5}})
 
-    @pytest.mark.parametrize("block", ["synthetic", "sample_size"])
+    @pytest.mark.parametrize("block", ["synthetic", "sample_size", "sa"])
     def test_unknown_nested_field_is_a_config_error(self, tmp_path, capsys, block):
         # e.g. a config written before the generator's "style" key was removed
         payload = {"synthetic": {"n": 6}, "seed": 1}
