@@ -15,10 +15,34 @@ import numpy as np
 
 from .qubo import QuboInstance, bits_to_index, qubo_energy
 from .seeding import rng_from
+from .utils import is_integer, is_number
 
 DEFAULT_COOLING_RATE = 0.995
 DEFAULT_SWEEPS = 1000
 DEFAULT_RESTARTS = 10
+
+# SaConfig's value rules per field: the test a value must pass, and the rule
+# a refusal names
+_SA_RULES = {
+    "initial_temperature": (lambda v: is_number(v) and v > 0, "a positive number"),
+    "cooling_rate": (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)"),
+    "sweeps": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "restarts": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "seed": (is_integer, "an integer"),
+}
+
+
+def check_sa_values(values: dict) -> None:
+    """SaConfig's value rules applied to the fields ``values`` holds, all or some.
+
+    Raises ValueError naming the first field that breaks its rule.  SaConfig
+    checks itself with it, and ExperimentConfig checks a config's ``sa``
+    overrides with it before anything runs or is written.
+    """
+    for name, value in values.items():
+        test, rule = _SA_RULES[name]
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,12 +54,7 @@ class SaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.initial_temperature > 0:
-            raise ValueError("initial_temperature must be positive")
-        if not 0 < self.cooling_rate < 1:
-            raise ValueError("cooling_rate must lie in (0, 1)")
-        if self.sweeps < 1 or self.restarts < 1:
-            raise ValueError("sweeps and restarts must be positive")
+        check_sa_values(vars(self))
 
 
 def default_sa_config(inst: QuboInstance, seed: int = 0, **overrides) -> SaConfig:

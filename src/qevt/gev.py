@@ -40,6 +40,11 @@ fitting each sample alone through ``minimize`` returns.  That bit-exactness
 is the point: with xi < -1 the likelihood is unbounded and the fits move
 far under last-bit changes, so a different optimizer would move every
 bootstrap triple.  :func:`fit_gev_minima` is a batch of one.
+
+scipy is imported inside the functions that call its kernel, not at module
+level: ``scipy.optimize`` takes longer to import than most commands take to
+run, and ``qevt --help``, ``generate``, ``solve-sa`` and ``validate`` never
+fit.  The first fit in a process pays the import.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegenerateSamplesError, FitFailureError, InsufficientSamplesError
 
@@ -72,6 +76,19 @@ ROUTE_GEV = "gev"
 
 _SUPPORT_EPS = 1e-12
 _PENALTY = 1e8
+
+
+def __getattr__(name: str):
+    """``qevt.gev.optimize`` is ``scipy.optimize``, imported on first use.
+
+    Kept only for the benchmark's tracer, which reads and rebinds that name;
+    no code in this module uses it.
+    """
+    if name == "optimize":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -360,7 +377,8 @@ class _Lane:
         self.g[:] = g_eval
 
     def message(self) -> str:
-        lbfgsb = optimize._lbfgsb_py
+        from scipy.optimize import _lbfgsb_py as lbfgsb
+
         return f"{lbfgsb.status_messages[self.task[0]]}: {lbfgsb.task_messages[self.task[1]]}"
 
 
@@ -376,7 +394,8 @@ def _minimize_lanes(x0: np.ndarray, y: np.ndarray) -> list:
     FIT_MAXITER})`` step for step and ends at the same ``x`` with the same
     ``fun`` (the value last evaluated).  Returns the lanes.
     """
-    setulb = optimize._lbfgsb.setulb
+    from scipy.optimize._lbfgsb import setulb
+
     n_lanes = x0.shape[0]
     lower = np.column_stack([np.full(n_lanes, -np.inf), 1e-8 * x0[:, 1], np.full(n_lanes, XI_MIN)])
     x = np.clip(x0, lower, [np.inf, np.inf, XI_MAX])

@@ -19,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import SaConfig, default_sa_config, simulated_annealing
+from .annealing import SaConfig, check_sa_values, default_sa_config, simulated_annealing
 from .errors import ConfigError, DegenerateSamplesError
 from .gev import (
+    BASELINE_RTOL,
     GevParams,
     count_hits,
     estimate_runs,
@@ -44,12 +45,13 @@ from .qubo import (
     brute_force_minimum,
     generate_synthetic_q,
     load_instance,
+    qubo_energy,
     save_instance,
 )
 from .sample_size import SampleSizeConfig, estimate_required_extremes, reference_parameters
 from .seeding import derive_seed
 from .svg import histogram_with_curve, line_chart
-from .utils import jsonable
+from .utils import is_integer, is_number, jsonable
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -61,6 +63,8 @@ DEFAULT_SHOTS_GRID = (500, 1000, 2000)
 DEFAULT_ALPHAS = (0.90, 0.95)
 DEFAULT_RUNS = 200
 DEFAULT_DEPTH = 3
+
+_INTEGER_FIELDS = ("qaoa_depth", "qaoa_restarts", "qaoa_maxiter", "runs", "pool_runs", "seed")
 
 
 @dataclass(frozen=True)
@@ -102,19 +106,33 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # types before values: a config file's "5" or true must be refused,
+        # not compared
         if (self.instance_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of instance_path / synthetic must be set")
+        for name in _INTEGER_FIELDS:
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.runs < 1:
             raise ConfigError("runs must be positive")
-        if not 0.0 <= self.readout_flip_prob <= 0.5:
+        if not is_number(self.readout_flip_prob) or not 0.0 <= self.readout_flip_prob <= 0.5:
             raise ConfigError("readout_flip_prob must lie in [0, 0.5]")
-        if not self.shots_grid or any(s < 1 for s in self.shots_grid):
+        if not (isinstance(self.shots_grid, (list, tuple)) and self.shots_grid
+                and all(is_integer(s) and s >= 1 for s in self.shots_grid)):
             raise ConfigError("shots_grid must be non-empty positive integers")
         if len(set(self.shots_grid)) < len(self.shots_grid):
             raise ConfigError(f"shots_grid repeats a setting: {list(self.shots_grid)}")
-        _known_fields(SaConfig, self.sa or {}, "sa")
-        if not self.alphas or any(not 0 < a < 1 for a in self.alphas):
+        if not isinstance(self.sa or {}, dict):
+            raise ConfigError(f"sa must be a mapping of SA settings, got {self.sa!r}")
+        try:
+            check_sa_values(_known_fields(SaConfig, self.sa or {}, "sa"))
+        except ValueError as exc:
+            raise ConfigError(f"sa: {exc}") from exc
+        if not (isinstance(self.alphas, (list, tuple)) and self.alphas
+                and all(is_number(a) and 0 < a < 1 for a in self.alphas)):
             raise ConfigError("alphas must lie in (0, 1)")
+        if self.y_ideal_override is not None and not is_number(self.y_ideal_override):
+            raise ConfigError(f"y_ideal_override must be a number, got {self.y_ideal_override!r}")
         object.__setattr__(self, "shots_grid", tuple(int(s) for s in self.shots_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
@@ -222,6 +240,20 @@ def _solve_sa(cfg: ExperimentConfig, inst: QuboInstance, desc: dict, out: Path) 
     return payload
 
 
+def _baseline_of(inst: QuboInstance, baseline: dict) -> bool:
+    """Whether ``baseline``'s bitstring scores its recorded energy on ``inst``.
+
+    The recorded ``instance`` description names a source, and one instance
+    reached through a file and through ``instance.json`` has two; the
+    bitstring and its energy identify the instance whatever its source.
+    """
+    x = baseline["x"]
+    if len(x) != inst.n:
+        return False
+    energy = float(baseline["energy"])
+    return abs(qubo_energy(inst, x) - energy) <= BASELINE_RTOL * max(1.0, abs(energy))
+
+
 def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     """Resolve a sampling command's inputs: ``(inst, desc, y_ideal, params, law)``.
 
@@ -229,9 +261,10 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     ``out_dir`` are reused, ``baseline.json`` for the SA baseline and
     ``qaoa_params.json`` for the angles; a missing one is computed on that
     instance and written.  An ``instance.json`` that holds another instance
-    (``n``, ``k``, ``penalty_weight`` or ``q`` differ) is refused with
-    ConfigError before SA or the optimizer runs and before any file is
-    written.  ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is
+    (``n``, ``k``, ``penalty_weight`` or ``q`` differ), or a ``baseline.json``
+    whose bitstring does not score its recorded energy on this instance, is
+    refused with ConfigError before SA or the optimizer runs and before any
+    file is written.  ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is
     the circuit's run-minimum law under ``cfg``'s readout noise, built once
     for all of the command's draws.
     """
@@ -246,13 +279,19 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
                 f"{inst_path} holds another instance than the config names; "
                 "use a fresh output directory"
             )
-    else:
+    baseline_path = out / "baseline.json"
+    baseline = read_json(baseline_path) if baseline_path.exists() else None
+    if baseline is not None and not _baseline_of(inst, baseline):
+        raise ConfigError(
+            f"{baseline_path} holds the baseline of another instance than the config "
+            "names; use a fresh output directory"
+        )
+    if not inst_path.exists():
         out.mkdir(parents=True, exist_ok=True)
         save_instance(inst, inst_path)
 
-    baseline_path = out / "baseline.json"
-    if baseline_path.exists():
-        y_ideal = float(read_json(baseline_path)["energy"])
+    if baseline is not None:
+        y_ideal = float(baseline["energy"])
     else:
         y_ideal = _solve_sa(cfg, inst, desc, out)["energy"]
     if cfg.y_ideal_override is not None:

@@ -15,6 +15,11 @@ shots (:func:`sample_shots`) are the law at s = 1, one uniform per shot.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
+
+:func:`optimize_parameters` imports scipy itself (``scipy.optimize`` for
+COBYLA, ``scipy.stats.qmc`` only when it draws Halton starts), so that
+importing this module, and every command that reuses stored angles, loads
+no scipy.
 """
 
 from __future__ import annotations
@@ -22,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import qmc
 
 from .errors import CapacityError
 from .qubo import IsingModel, QuboInstance, energy_table, ising_energy_table, to_ising
@@ -183,6 +186,8 @@ def optimize_parameters(
     Every start itself counts as a candidate, so the result is never worse
     than the best start.  Deterministic for a fixed seed.
     """
+    from scipy import optimize
+
     if depth_p < 1:
         raise ValueError("depth_p must be at least 1")
     model = to_ising(inst)
@@ -197,6 +202,8 @@ def optimize_parameters(
 
     starts = [np.zeros(2 * depth_p)]
     if cfg.restarts > 1:
+        from scipy.stats import qmc
+
         sampler = qmc.Halton(d=2 * depth_p, scramble=True, seed=derive_seed(cfg.seed, "qaoa-starts"))
         starts.extend(qmc.scale(sampler.random(cfg.restarts - 1), lo, hi))
 

@@ -7,6 +7,10 @@ kernel, the statistic of ``scipy.stats.shapiro`` without its per-call
 wrapper),
 and the regression/crossing helpers that turn per-n p-value averages into a
 sample-size decision.
+
+``scipy.stats`` is imported inside :func:`hotelling_t2` and ``_shapiro_w``, not
+at module level: importing it costs more than most commands take to run,
+and only the sample-size procedure calls them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sps
-from scipy.stats._ansari_swilk_statistics import swilk
 
 from .errors import InsufficientSamplesError, SingularCovarianceError
 
@@ -68,7 +70,9 @@ def hotelling_t2(samples, mu0) -> TestResult:
     solved = np.linalg.solve(chol.T, np.linalg.solve(chol, diff))
     t2 = float(m * diff @ solved)
     f_stat = t2 * (m - d) / (d * (m - 1))
-    p = float(sps.f.sf(f_stat, d, m - d))
+    from scipy.stats import f
+
+    p = float(f.sf(f_stat, d, m - d))
     return TestResult(statistic=t2, p_value=p, method=METHOD_HOTELLING)
 
 
@@ -86,13 +90,15 @@ def _standardize(x: np.ndarray) -> np.ndarray:
 
 
 def _shapiro_w(x: np.ndarray) -> float:
-    """``sps.shapiro(x).statistic``, bit for bit, without its wrapper.
+    """``scipy.stats.shapiro(x).statistic``, bit for bit, without its wrapper.
 
     The same preprocessing as ``scipy.stats.shapiro`` (sort, subtract
     ``x[N // 2]`` of the unsorted data, zeroed coefficients, ``init=0``)
     handed to the same ``swilk`` kernel; the axis and NaN handling around it
     costs more than the statistic on the short columns tested here.
     """
+    from scipy.stats._ansari_swilk_statistics import swilk
+
     y = np.sort(x)
     y -= x[x.size // 2]
     w, _, _ = swilk(y, np.zeros(x.size // 2), 0)

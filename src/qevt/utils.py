@@ -1,8 +1,10 @@
-"""JSON-safe conversion of numpy values and infinities."""
+"""JSON-safe conversion of numpy values and infinities, and the type tests
+that config checks apply to values read from JSON."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,3 +30,13 @@ def jsonable(value):
             return "nan"
         return value
     return value
+
+
+def is_integer(value) -> bool:
+    """An integer, Python or numpy, and not a bool (JSON ``true`` is no count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number, Python or numpy, and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -268,6 +268,22 @@ class TestEstimatePipeline:
         assert "instance.json" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_baseline_of_another_instance_refused(self, tmp_path, capsys):
+        # solve-sa writes baseline.json alone; a later estimate of another
+        # instance must not take it as its own baseline
+        assert main(["solve-sa", "--n", "6", "--instance-seed", "1", "--seed", "1",
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        args = ["estimate", "--n", "6", "--shots", "20", "--runs", "30", "--seed", "1",
+                "--out-dir", str(tmp_path)]
+        assert main(args + ["--instance-seed", "2"]) == EXIT_CONFIG
+        assert "baseline.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the instance it was annealed on still reuses it
+        assert main(args + ["--instance-seed", "1"]) == EXIT_OK
+        baseline = json.loads(before["baseline.json"])
+        assert json.loads((tmp_path / "report.json").read_text())["y_ideal"] == baseline["energy"]
+
     def test_degenerate_instance_exit_code(self, tmp_path, capsys):
         # tiny instance: every run finds the optimum, extremes collapse
         code = main([
@@ -290,6 +306,23 @@ class TestEstimatePipeline:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == []
         assert "readout_flip_prob" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sa, message", [
+        ({"sweeps": 0}, "sweeps must be a positive integer"),
+        ({"cooling_rate": 1.0}, "cooling_rate must be a number in (0, 1)"),
+        ({"initial_temperature": 0}, "initial_temperature must be a positive number"),
+    ])
+    def test_bad_sa_value_rejected_before_any_work(self, tmp_path, capsys, sa, message):
+        # SaConfig's own rules, applied with the config: nothing is written
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthetic": {"n": 6}, "sa": sa}))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["estimate", "--config", str(path), "--shots", "20", "--runs", "30",
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        assert message in capsys.readouterr().err
 
     def test_unreachable_target_exit_code(self, tmp_path):
         code = main([
@@ -564,6 +597,37 @@ class TestConfigFile:
         code = main(["solve-sa", "--config", str(path), "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert f"unknown {block} fields: ['style']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", "5"),
+        ("runs", 5.0),
+        ("runs", True),
+        ("shots_grid", ["20"]),
+        ("shots_grid", [20.5]),
+        ("shots_grid", [True]),
+        ("shots_grid", 20),
+        ("alphas", ["0.9"]),
+        ("alphas", [True]),
+        ("alphas", 0.9),
+        ("readout_flip_prob", "0.1"),
+        ("readout_flip_prob", False),
+        ("qaoa_restarts", 2.0),
+        ("seed", "1"),
+        ("y_ideal_override", True),
+        ("sa", {"sweeps": "10"}),
+        ("sa", {"cooling_rate": True}),
+        ("sa", 5),
+    ])
+    def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, field, value):
+        # a JSON string, bool or float where the config means another type is
+        # refused before it is compared, so it never ends in a traceback
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthetic": {"n": 6}, field: value}))
+        out = tmp_path / "out"
+        code = main(["estimate", "--config", str(path), "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requires_exactly_one_instance_source(self):
         with pytest.raises(Exception):
