@@ -15,7 +15,7 @@ import numpy as np
 
 from .qubo import QuboInstance, bits_to_index, qubo_energy
 from .seeding import rng_from
-from .utils import is_integer, is_number
+from .utils import check_rules, is_integer, is_number
 
 DEFAULT_COOLING_RATE = 0.995
 DEFAULT_SWEEPS = 1000
@@ -33,16 +33,10 @@ _SA_RULES = {
 
 
 def check_sa_values(values: dict) -> None:
-    """SaConfig's value rules applied to the fields ``values`` holds, all or some.
-
-    Raises ValueError naming the first field that breaks its rule.  SaConfig
-    checks itself with it, and ExperimentConfig checks a config's ``sa``
-    overrides with it before anything runs or is written.
-    """
-    for name, value in values.items():
-        test, rule = _SA_RULES[name]
-        if not test(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    """SaConfig's value rules on the fields ``values`` holds, all or some:
+    SaConfig checks itself with it, and ExperimentConfig a config's ``sa``
+    overrides before anything runs or is written."""
+    check_rules(values, _SA_RULES)
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,7 @@ class _Lock:
         return self
 
     def __exit__(self, *exc_info):
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        self.path.unlink(missing_ok=True)
         return False
 
 

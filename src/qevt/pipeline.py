@@ -35,6 +35,7 @@ from .gev import (
 from .qaoa import (
     OptimizerConfig,
     QaoaParams,
+    check_optimizer_values,
     circuit_law,
     collect_extreme_samples,
     optimize_parameters,
@@ -76,15 +77,16 @@ class SyntheticSpec:
     signal_to_noise: float = 3.0
     penalty_weight: float = 1.0
 
+    def __post_init__(self):
+        # a config file's "6" or true must be refused, not compared
+        for name, value in vars(self).items():
+            kind, test = (("an integer", is_integer) if name in ("n", "k", "seed")
+                          else ("a number", is_number))
+            if not test(value) and not (name == "k" and value is None):
+                raise ConfigError(f"synthetic: {name} must be {kind}, got {value!r}")
+
     def build(self) -> QuboInstance:
-        return generate_synthetic_q(
-            n=self.n,
-            seed=self.seed,
-            k=self.k,
-            magnitude=self.magnitude,
-            signal_to_noise=self.signal_to_noise,
-            penalty_weight=self.penalty_weight,
-        )
+        return generate_synthetic_q(**asdict(self))
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.runs < 1:
             raise ConfigError("runs must be positive")
+        try:
+            check_optimizer_values({"depth": self.qaoa_depth, "restarts": self.qaoa_restarts,
+                                    "maxiter": self.qaoa_maxiter,
+                                    "initial_state": self.initial_state})
+        except ValueError as exc:
+            raise ConfigError(f"qaoa: {exc}") from exc
         if not is_number(self.readout_flip_prob) or not 0.0 <= self.readout_flip_prob <= 0.5:
             raise ConfigError("readout_flip_prob must lie in [0, 0.5]")
         if not (isinstance(self.shots_grid, (list, tuple)) and self.shots_grid
@@ -205,8 +213,7 @@ def resolve_instance(cfg: ExperimentConfig) -> tuple[QuboInstance, dict]:
         inst = load_instance(cfg.instance_path)
         return inst, {"source": "file", "path": cfg.instance_path, "n": inst.n, "k": inst.k}
     inst = cfg.synthetic.build()
-    desc = {"source": "synthetic", "n": inst.n, "k": inst.k, "seed": cfg.synthetic.seed}
-    return inst, desc
+    return inst, {"source": "synthetic", "n": inst.n, "k": inst.k, "seed": cfg.synthetic.seed}
 
 
 def run_generate(spec: SyntheticSpec, out_path) -> dict:
@@ -221,7 +228,9 @@ def run_generate(spec: SyntheticSpec, out_path) -> dict:
 
 
 def run_solve_sa(cfg: ExperimentConfig, out_dir) -> dict:
-    return _solve_sa(cfg, *resolve_instance(cfg), Path(out_dir))
+    inst, desc = resolve_instance(cfg)
+    _check_stage_instance(inst, Path(out_dir))
+    return _solve_sa(cfg, inst, desc, Path(out_dir))
 
 
 def _solve_sa(cfg: ExperimentConfig, inst: QuboInstance, desc: dict, out: Path) -> dict:
@@ -238,6 +247,22 @@ def _solve_sa(cfg: ExperimentConfig, inst: QuboInstance, desc: dict, out: Path) 
     }
     write_json(out / "baseline.json", payload)
     return payload
+
+
+def _check_stage_instance(inst: QuboInstance, out: Path) -> None:
+    """Refuse, with ConfigError, an ``instance.json`` in ``out`` that holds
+    another instance than ``inst`` (``n``, ``k``, ``penalty_weight`` or ``q``
+    differ): the stage files beside it belong to that instance."""
+    inst_path = out / "instance.json"
+    if not inst_path.exists():
+        return
+    stored = load_instance(inst_path)
+    same = (stored.n, stored.k, stored.penalty_weight) == (inst.n, inst.k, inst.penalty_weight)
+    if not (same and np.array_equal(stored.q, inst.q)):
+        raise ConfigError(
+            f"{inst_path} holds another instance than the config names; "
+            "use a fresh output directory"
+        )
 
 
 def _baseline_of(inst: QuboInstance, baseline: dict) -> bool:
@@ -260,25 +285,16 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     The instance is the one ``cfg`` names, built once.  The stage files in
     ``out_dir`` are reused, ``baseline.json`` for the SA baseline and
     ``qaoa_params.json`` for the angles; a missing one is computed on that
-    instance and written.  An ``instance.json`` that holds another instance
-    (``n``, ``k``, ``penalty_weight`` or ``q`` differ), or a ``baseline.json``
-    whose bitstring does not score its recorded energy on this instance, is
-    refused with ConfigError before SA or the optimizer runs and before any
-    file is written.  ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is
-    the circuit's run-minimum law under ``cfg``'s readout noise, built once
-    for all of the command's draws.
+    instance and written.  An ``instance.json`` of another instance, or a
+    ``baseline.json`` whose bitstring does not score its recorded energy on
+    this one, is refused with ConfigError before anything runs or is written.
+    ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is the
+    circuit's :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout
+    noise, built once for all of the command's draws.
     """
     out = Path(out_dir)
     inst, desc = resolve_instance(cfg)
-    inst_path = out / "instance.json"
-    if inst_path.exists():
-        stored = load_instance(inst_path)
-        same = (stored.n, stored.k, stored.penalty_weight) == (inst.n, inst.k, inst.penalty_weight)
-        if not (same and np.array_equal(stored.q, inst.q)):
-            raise ConfigError(
-                f"{inst_path} holds another instance than the config names; "
-                "use a fresh output directory"
-            )
+    _check_stage_instance(inst, out)
     baseline_path = out / "baseline.json"
     baseline = read_json(baseline_path) if baseline_path.exists() else None
     if baseline is not None and not _baseline_of(inst, baseline):
@@ -286,6 +302,7 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
             f"{baseline_path} holds the baseline of another instance than the config "
             "names; use a fresh output directory"
         )
+    inst_path = out / "instance.json"
     if not inst_path.exists():
         out.mkdir(parents=True, exist_ok=True)
         save_instance(inst, inst_path)
@@ -301,15 +318,12 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     if params_path.exists():
         params = QaoaParams.from_dict(read_json(params_path))
     else:
-        optimizer = OptimizerConfig(
-            restarts=cfg.qaoa_restarts,
-            maxiter=cfg.qaoa_maxiter,
-            seed=derive_seed(cfg.seed, "qaoa-opt"),
-            initial_state=cfg.initial_state,
-        )
+        optimizer = OptimizerConfig(restarts=cfg.qaoa_restarts, maxiter=cfg.qaoa_maxiter,
+                                    seed=derive_seed(cfg.seed, "qaoa-opt"),
+                                    initial_state=cfg.initial_state)
         params = optimize_parameters(inst, cfg.qaoa_depth, optimizer)
         write_json(params_path, params.to_dict())
-    law, _, _ = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+    law = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
     return inst, desc, y_ideal, params, law
 
 
@@ -386,7 +400,7 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
 
     extremes_seeds = {s: derive_seed(cfg.seed, "extremes", s) for s in cfg.shots_grid}
     minima_by_s = {
-        s: collect_extreme_samples(inst, params, s, cfg.runs, seed=seed, law=law)
+        s: collect_extreme_samples(inst, law, s, cfg.runs, seed)
         for s, seed in extremes_seeds.items()
     }
     jitter_seeds = {s: derive_seed(cfg.seed, "jitter", s) for s in cfg.shots_grid}
@@ -430,12 +444,6 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     return report
 
 
-def _any_hit(p: float, tries: int) -> float:
-    """P(at least one of ``tries`` independent tries succeeds), each with
-    probability ``p``: 1 - (1 - p)^tries, accurate for small p."""
-    return 1.0 if p >= 1.0 else -math.expm1(tries * math.log1p(-p))
-
-
 def _report_estimate(report: dict, shots_s: int, alpha: float) -> dict:
     for entry in report["per_shots"]:
         if entry["shots_s"] != shots_s:
@@ -471,9 +479,10 @@ def run_validate(
     with that noise in place of its own.  Each offset draws on its own seed,
     keyed by delta, so a point does not move with the requested range.
 
-    Next to each ratio the payload gives ``exact_ratio``,
-    1 - (1 - p_run)^runs, where ``p_run_exact`` is the exact probability that
-    one run meets the baseline (same tolerance as the estimator).
+    Next to each ratio the payload gives ``exact_ratio``, the law's
+    probability that the best of ``runs`` runs meets the baseline (same
+    tolerance as the estimator), read at ``runs * shots_s`` shots;
+    ``p_run_exact`` is the law's value for one run.
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -494,8 +503,7 @@ def run_validate(
     cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"])
     inst = load_instance(out / "instance.json")
     params = QaoaParams.from_dict(report["qaoa_params"])
-    law, probs, table = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
-    p_run = _any_hit(float(probs[meets_baseline(table, y_ideal)].sum()), shots_s)
+    law = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
 
     lo, hi = delta_range
     if lo > hi:
@@ -511,7 +519,7 @@ def run_validate(
         ).reshape(trials, runs_count)
         ratio = float(meets_baseline(minima.min(axis=1), y_ideal).mean())
         curve.append({"delta": delta, "runs": runs_count, "ratio": ratio,
-                      "exact_ratio": _any_hit(p_run, runs_count)})
+                      "exact_ratio": law.p_run(y_ideal, shots_s * runs_count)})
 
     tag = f"s{shots_s}_a{int(round(alpha * 100))}"
     write_csv(
@@ -538,7 +546,7 @@ def run_validate(
         "n_evt": n_evt,
         "trials": trials,
         "y_ideal": y_ideal,
-        "p_run_exact": p_run,
+        "p_run_exact": law.p_run(y_ideal, shots_s),
         "curve": curve,
         "provenance": _provenance(cfg, {"validate": derive_seed(cfg.seed, "validate", shots_s, 0)}),
     }
@@ -618,7 +626,6 @@ def run_sample_size(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ss_cfg = cfg.sample_size or sample_size_config(cfg.seed)
-    pool_source: dict
     if pool_path is not None:
         pool = _load_pool_csv(pool_path)
         pool_source = {"kind": "csv", "path": str(pool_path)}
@@ -629,10 +636,9 @@ def run_sample_size(
             pool = _load_pool_csv(existing)
             pool_source = {"kind": "csv", "path": existing.name}
         else:
-            inst, _, _, params, law = ensure_stage_artifacts(cfg, out)
+            inst, _, _, _, law = ensure_stage_artifacts(cfg, out)
             pool = collect_extreme_samples(
-                inst, params, shots_s, cfg.pool_runs,
-                seed=derive_seed(cfg.seed, "pool", shots_s), law=law,
+                inst, law, shots_s, cfg.pool_runs, derive_seed(cfg.seed, "pool", shots_s)
             )
             pool_source = {"kind": "fresh", "shots_s": shots_s, "runs": cfg.pool_runs}
     theta_sim = reference_parameters(pool, ss_cfg.seed)

@@ -5,13 +5,12 @@ diagonal in the computational basis), the mixer as a product of single-qubit
 e^{-i beta X} rotations.  Measurement sampling, optional readout bit-flip
 noise, and the collection of per-run minimum energies live here too.
 
-One law serves every sampler.  The readout flips are folded into the
-measured distribution (:func:`measured_distribution`), and each run's
-minimum energy is drawn from the exact per-run minimum law
-(:func:`_run_minimum_law`) with one uniform per run: the same minima in law
-as drawing every shot, at a cost that does not grow with the shots.
-:func:`circuit_law` builds that law for an instance and its angles.  Single
-shots (:func:`sample_shots`) are the law at s = 1, one uniform per shot.
+One law serves every sampler.  :class:`RunMinimumLaw` is the exact law of
+one run's minimum energy, readout flips included (folded into
+:func:`measured_distribution`), built once by :func:`circuit_law`.  Each run
+is that law inverted at one uniform, single shots (:func:`sample_shots`)
+are the law at s = 1, and the law also gives the exact success probability
+and run count the estimates are judged by.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
@@ -29,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .gev import count_hits, required_runs
 from .qubo import IsingModel, QuboInstance, energy_table, ising_energy_table, to_ising
 from .seeding import derive_seed
+from .utils import check_rules, is_integer
 
 MAX_QUBITS = 24
 
@@ -49,8 +50,7 @@ class QaoaParams:
     betas: np.ndarray
 
     def __post_init__(self):
-        if self.depth_p < 1:
-            raise ValueError("depth_p must be at least 1")
+        check_optimizer_values({"depth": self.depth_p})
         gammas = np.array(self.gammas, dtype=np.float64)
         betas = np.array(self.betas, dtype=np.float64)
         if gammas.shape != (self.depth_p,) or betas.shape != (self.depth_p,):
@@ -87,6 +87,23 @@ class NoiseConfig:
             raise ValueError("readout_flip_prob must lie in [0, 0.5]")
 
 
+# the optimizer's value rules per field, and the circuit depth's: the test
+# a value must pass, and the rule a refusal names
+_OPTIMIZER_RULES = {
+    "depth": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "restarts": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "maxiter": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
+    "seed": (is_integer, "an integer"),
+    "initial_state": (lambda v: v in INITIAL_STATE_VARIANTS, f"one of {INITIAL_STATE_VARIANTS}"),
+}
+
+
+def check_optimizer_values(values: dict) -> None:
+    """OptimizerConfig's rules, and depth's, on the fields ``values`` holds;
+    ExperimentConfig applies them before anything runs or is written."""
+    check_rules(values, _OPTIMIZER_RULES)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Derivative-free angle optimization settings (COBYLA, multi-start)."""
@@ -97,10 +114,7 @@ class OptimizerConfig:
     initial_state: str = "minus"
 
     def __post_init__(self):
-        if self.restarts < 1 or self.maxiter < 1:
-            raise ValueError("restarts and maxiter must be positive")
-        if self.initial_state not in INITIAL_STATE_VARIANTS:
-            raise ValueError(f"unknown initial-state variant {self.initial_state!r}")
+        check_optimizer_values(vars(self))
 
 
 def _num_qubits(state: np.ndarray) -> int:
@@ -123,8 +137,7 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
         raise ValueError("n must be at least 1")
     if n > MAX_QUBITS:
         raise CapacityError(f"n={n} exceeds the statevector limit of {MAX_QUBITS}")
-    if variant not in INITIAL_STATE_VARIANTS:
-        raise ValueError(f"unknown initial-state variant {variant!r}")
+    check_optimizer_values({"initial_state": variant})
     amp = 2.0 ** (-n / 2.0)
     state = np.full(1 << n, amp, dtype=np.complex128)
     if variant == "minus":
@@ -188,8 +201,7 @@ def optimize_parameters(
     """
     from scipy import optimize
 
-    if depth_p < 1:
-        raise ValueError("depth_p must be at least 1")
+    check_optimizer_values({"depth": depth_p})
     model = to_ising(inst)
     energies = ising_energy_table(model)
 
@@ -244,51 +256,56 @@ def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
     return probs
 
 
-def _run_minimum_law(probs: np.ndarray, energies: np.ndarray):
-    """The exact law of one run's minimum energy, built once.
+@dataclass(frozen=True, eq=False)
+class RunMinimumLaw:
+    """The exact law of one run's minimum energy, at any shots per run.
 
-    ``probs`` is the measured distribution (:func:`measured_distribution`)
-    and ``energies`` the energy table it is scored with.  With F the per-shot
-    CDF over the stably sorted table, a run of s independent shots has
-    P(min <= e) = 1 - (1 - F(e))^s.  Returns ``draw(shots_s, uniforms)``,
-    which forms that law once per call and inverts it at ``uniforms``: one
-    uniform per run, the same minima in law as drawing every shot.
+    ``levels`` is the energy table stably sorted, ``log_survival`` log(1 - F)
+    over it, F the normalised per-shot CDF of the measured distribution.  A
+    run of s shots has P(min <= levels[i]) = 1 - (1 - F_i)^s, and the best of
+    r runs of s shots is the law at r * s shots.
     """
-    order = np.argsort(energies, kind="stable")
-    levels = energies[order]
-    cdf = np.cumsum(probs[order])
-    cdf /= cdf[-1]
-    # the last F is exactly 1, so log(1 - F) = -inf and the law reaches 1
-    # there: every uniform in [0, 1) finds a level
-    with np.errstate(divide="ignore"):
-        log_survival = np.log1p(-cdf)
 
-    def draw(shots_s: int, uniforms: np.ndarray) -> np.ndarray:
-        law = -np.expm1(shots_s * log_survival)
-        return levels[np.searchsorted(law, uniforms, side="right")]
+    levels: np.ndarray
+    log_survival: np.ndarray
 
-    return draw
+    @classmethod
+    def from_distribution(cls, probs: np.ndarray, energies: np.ndarray) -> "RunMinimumLaw":
+        """The law of measured distribution ``probs`` scored with ``energies``."""
+        if probs.shape != energies.shape:
+            raise ValueError("measured distribution and energy table sizes disagree")
+        order = np.argsort(energies, kind="stable")
+        cdf = np.cumsum(probs[order])
+        cdf /= cdf[-1]
+        # the last F is exactly 1, so log(1 - F) = -inf and the law reaches 1
+        # there: every uniform in [0, 1) finds a level
+        with np.errstate(divide="ignore"):
+            return cls(energies[order], np.log1p(-cdf))
 
+    def draw(self, shots_s: int, uniforms: np.ndarray) -> np.ndarray:
+        """Minima of runs of shots_s shots: the law inverted at one uniform per run."""
+        law = -np.expm1(shots_s * self.log_survival)
+        return self.levels[np.searchsorted(law, uniforms, side="right")]
 
-def _measured_law(state: np.ndarray, flip_prob: float, energies: np.ndarray):
-    """The per-run minimum law of ``state`` measured under readout flips of
-    ``flip_prob`` and scored with ``energies``, with the measured
-    distribution it was built from."""
-    probs = measured_distribution(state, flip_prob)
-    return _run_minimum_law(probs, energies), probs
+    def p_run(self, y_ideal: float, shots_s: int) -> float:
+        """P(a run of shots_s shots meets the baseline): the law at the highest
+        of the k levels that meet it, which are the k lowest; 0 when k = 0."""
+        k = count_hits(self.levels, y_ideal)
+        return 0.0 if k == 0 else float(-np.expm1(shots_s * self.log_survival[k - 1]))
+
+    def n_exact(self, y_ideal: float, shots_s: int, alpha: float):
+        """The run count that meets the baseline with confidence ``alpha``."""
+        return required_runs(self.p_run(y_ideal, shots_s), alpha)
 
 
 def circuit_law(inst: QuboInstance, params: QaoaParams, flip_prob: float = 0.0,
-                variant: str = "minus"):
-    """The exact per-run minimum law of the circuit's measured shots, with
-    the measured distribution (readout flips included) and the energy table
-    it was built from.  The circuit's phases come from the same table the
-    minima are read from, the one the angles were tuned on.  Returns
-    ``(law, probs, table)``; build it once and share it between draws."""
+                variant: str = "minus") -> RunMinimumLaw:
+    """The circuit's exact run-minimum law under readout flips of
+    ``flip_prob``.  The circuit's phases come from the table the minima are
+    read from, the one the angles were tuned on."""
     table = energy_table(inst)
     state = circuit_state(to_ising(inst), params, variant, energies=table)
-    law, probs = _measured_law(state, flip_prob, table)
-    return law, probs, table
+    return RunMinimumLaw.from_distribution(measured_distribution(state, flip_prob), table)
 
 
 def sample_shots(
@@ -297,58 +314,43 @@ def sample_shots(
     shots_s: int,
     noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
-    energies: np.ndarray | None = None,
 ) -> np.ndarray:
     """Energies of shots_s measured shots, readout flips included.
 
     A single shot's minimum is the shot's own energy, so each shot is the
     per-run minimum law at s = 1 inverted at one double of
-    ``default_rng(seed)``, in shot order.  Energies are read from the
-    instance's energy table (:func:`energy_table`, the one the circuit's
-    phases come from), which ``energies`` may carry prebuilt.
+    ``default_rng(seed)``, in shot order, scored with :func:`energy_table`.
     """
     if shots_s < 1:
         raise ValueError("shots_s must be positive")
-    if _num_qubits(state) != inst.n:
-        raise ValueError("state and instance dimensions disagree")
-    if energies is None:
-        energies = energy_table(inst)
-    law, _ = _measured_law(state, noise.readout_flip_prob, energies)
-    return law(1, np.random.default_rng(seed).random(shots_s))
+    law = RunMinimumLaw.from_distribution(
+        measured_distribution(state, noise.readout_flip_prob), energy_table(inst)
+    )
+    return law.draw(1, np.random.default_rng(seed).random(shots_s))
 
 
 def collect_extreme_samples(
     inst: QuboInstance,
-    params: QaoaParams,
+    law: RunMinimumLaw,
     shots_s: int,
     runs: int,
-    noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
-    variant: str = "minus",
-    *,
-    law=None,
 ) -> np.ndarray:
-    """Per-run minimum energies from ``runs`` independent runs of shots_s shots.
+    """Per-run minimum energies of ``runs`` independent runs of shots_s shots
+    of ``inst``, drawn from its law (:func:`circuit_law`).
 
-    Run r is the exact per-run minimum law (:func:`_run_minimum_law`)
-    inverted at the first double of ``default_rng(derive_seed(seed,
-    "extreme-run", r))``, so each run reproduces alone from that seed.
-
-    ``law`` may carry the law prebuilt by :func:`circuit_law` under
-    ``noise``, so that a caller collecting at several shots settings builds
-    it once; ``params``, ``noise`` and ``variant`` are then unused.  When
-    omitted it is built here.
+    Run r is the law inverted at the first double of
+    ``default_rng(derive_seed(seed, "extreme-run", r))``, so each run
+    reproduces alone from that seed.
     """
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    if shots_s < 1:
-        raise ValueError("shots_s must be positive")
-    if law is None:
-        law, _, _ = circuit_law(inst, params, noise.readout_flip_prob, variant)
+    if runs < 1 or shots_s < 1:
+        raise ValueError("runs and shots_s must be positive")
+    if law.levels.size != 1 << inst.n:
+        raise ValueError("law and instance dimensions disagree")
     uniforms = np.array(
         [np.random.default_rng(derive_seed(seed, "extreme-run", r)).random() for r in range(runs)]
     )
-    return law(shots_s, uniforms)
+    return law.draw(shots_s, uniforms)
 
 
 def run_minima_batch(
@@ -358,24 +360,18 @@ def run_minima_batch(
     runs: int,
     noise: NoiseConfig = NoiseConfig(),
     seed: int = 0,
-    energies: np.ndarray | None = None,
     *,
-    law=None,
+    law: RunMinimumLaw | None = None,
 ) -> np.ndarray:
-    """Per-run minima of ``runs`` independent runs of shots_s shots, for Monte
-    Carlo validation sweeps.
-
-    Each minimum is drawn from the exact per-run minimum law
-    (:func:`_run_minimum_law`) at one double of ``default_rng(seed)``, in
-    run order.  ``law`` may carry that sampler prebuilt from the state's
-    :func:`measured_distribution` under ``noise`` and the table, so that a
-    caller drawing at several settings builds it once; ``state``,
-    ``noise`` and ``energies`` are then unused.
+    """Per-run minima of ``runs`` runs of shots_s shots: the law inverted at
+    the doubles of ``default_rng(seed)`` in run order.  ``law`` may carry the
+    law prebuilt; without it, it is built from ``state`` measured under
+    ``noise`` and scored with :func:`energy_table`.
     """
     if runs < 1 or shots_s < 1:
         raise ValueError("runs and shots_s must be positive")
     if law is None:
-        if energies is None:
-            energies = energy_table(inst)
-        law, _ = _measured_law(state, noise.readout_flip_prob, energies)
-    return law(shots_s, np.random.default_rng(seed).random(runs))
+        law = RunMinimumLaw.from_distribution(
+            measured_distribution(state, noise.readout_flip_prob), energy_table(inst)
+        )
+    return law.draw(shots_s, np.random.default_rng(seed).random(runs))

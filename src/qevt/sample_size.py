@@ -226,10 +226,7 @@ def estimate_required_extremes(
 
     # the mean test presupposes normality of the estimates, so the normality
     # crossing wins whenever it is the later one
-    if cross_ht2.n < cross_mst.n:
-        n_estimate = cross_mst.n
-    else:
-        n_estimate = cross_ht2.n
+    n_estimate = max(cross_ht2.n, cross_mst.n)
 
     return SampleSizeResult(
         per_n=tuple(per_n),

@@ -1,5 +1,5 @@
-"""JSON-safe conversion of numpy values and infinities, and the type tests
-that config checks apply to values read from JSON."""
+"""JSON-safe conversion of numpy values and infinities, and the type and
+value checks that configs apply to values read from JSON."""
 
 from __future__ import annotations
 
@@ -40,3 +40,12 @@ def is_integer(value) -> bool:
 def is_number(value) -> bool:
     """A real number, Python or numpy, and not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_rules(values: dict, rules: dict) -> None:
+    """Each value's rule from ``rules`` (field -> (test, rule named on
+    refusal)); ValueError names the first field that breaks its rule."""
+    for name, value in values.items():
+        test, rule = rules[name]
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")

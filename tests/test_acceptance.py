@@ -23,7 +23,7 @@ from qevt.pipeline import (
     run_shot_sweep,
     run_validate,
 )
-from qevt.qaoa import NoiseConfig, OptimizerConfig, collect_extreme_samples, optimize_parameters
+from qevt.qaoa import OptimizerConfig, circuit_law, collect_extreme_samples, optimize_parameters
 from qevt.qubo import energy_table, generate_synthetic_q
 from qevt.sample_size import SampleSizeConfig, estimate_required_extremes, reference_parameters
 from qevt.seeding import derive_seed
@@ -58,7 +58,7 @@ def estimate_n_evt(n, inst_seed, shots_s, alpha, noise_p=0.0, runs=200, master_s
     """
     inst, params, y_ideal = tuned_instance(n, inst_seed, master_seed)
     minima = collect_extreme_samples(
-        inst, params, shots_s, runs, NoiseConfig(noise_p),
+        inst, circuit_law(inst, params, noise_p), shots_s, runs,
         seed=derive_seed(master_seed, "extremes", inst_seed, shots_s, int(noise_p * 1000)),
     )
     jitter_seed = derive_seed(master_seed, "jitter", inst_seed, shots_s)

@@ -1,8 +1,9 @@
 """Frozen artifact bytes of one small noisy estimate followed by a validation,
 and of one sample-size run.
 
-Both samplers draw each run's minimum from the exact per-run minimum law
-at one uniform per run; the estimate has two hashes and the validation one:
+Both samplers draw each run's minimum from the circuit's exact per-run
+minimum law (``qevt.qaoa.RunMinimumLaw``) at one uniform per run; the
+estimate has two hashes and the validation one:
 
 - ``ESTIMATE_SHA256`` covers ``report.json`` and ``extremes_s*.csv``.  Their
   per-run minima come from ``collect_extreme_samples``, run r at the first
@@ -13,7 +14,9 @@ at one uniform per run; the estimate has two hashes and the validation one:
   of the law and the answer's route.
 - ``VALIDATE_SHA256`` covers ``validate_*.json``.  Its run minima come from
   ``run_minima_batch``, at the doubles of one generator in run order, and
-  its run counts from the ``n_evt`` of the report.
+  its run counts from the ``n_evt`` of the report.  Its ``p_run_exact`` and
+  each ``exact_ratio`` are read from the same law, at s and at runs x s
+  shots.
 
 A change that moves any stream -- another law or readout-flip map, another
 energy table, another seed derivation -- or that changes the report layout
@@ -44,7 +47,7 @@ from qevt.sample_size import SampleSizeConfig
 
 ESTIMATE_SHA256 = "cccf7965ea290f20c2f8b05e03a265b30568478eaeed67f5078088ea2fe8c63a"
 FIT_SVG_SHA256 = "1fc94a844fc6f54efd439557adb408753bbdbdbb899f912b043e5864fad90af9"
-VALIDATE_SHA256 = "187aa2bf46923c7d79e99d459dee57752b405e030eee62efc2c2e7df54f0bda4"
+VALIDATE_SHA256 = "3e14bb820c9feec3b9d5720bc37b374353e585889d119c6ae7a22d461153fa74"
 SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"
 
 

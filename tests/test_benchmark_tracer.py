@@ -17,7 +17,7 @@ from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_val
 from qevt.qaoa import NoiseConfig, QaoaParams, circuit_state  # noqa: E402
 from qevt.qubo import generate_synthetic_q, to_ising  # noqa: E402
 
-from qevtbench.trace import TRACED, Tracer  # noqa: E402
+from qevtbench.trace import TRACED, Tracer, instance_key  # noqa: E402
 
 
 def _qevt_bindings() -> dict:
@@ -49,6 +49,14 @@ def test_tracer_wraps_every_traced_name_and_restores_them(tmp_path):
         run_validate(cfg, tmp_path, shots_s=20, alpha=0.95, delta_range=(0, 0), trials=20)
     assert tracer.trace.calls("qubo.energy_table") >= 1
     assert tracer.trace.calls("qaoa.circuit_state") >= 1
+    # the tracer keys minima by the instance it reads from the samplers'
+    # arguments (collect_extreme_samples' args[0], run_minima_batch's
+    # args[1]) and counts shots from their shots_s
+    assert tracer.trace.calls("qaoa.collect_extreme_samples") >= 1
+    assert tracer.trace.calls("qaoa.run_minima_batch") >= 1
+    key = instance_key(cfg.synthetic.build())
+    assert tracer.trace.minima and all(k == key for k, _ in tracer.trace.minima)
+    assert tracer.trace.counts["qaoa.shots_drawn"] > 0
     after = _qevt_bindings()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
 

@@ -108,6 +108,18 @@ class TestSolveSaCommand:
         desc = json.loads((tmp_path / "out/baseline.json").read_text())["instance"]
         assert desc == {"source": "synthetic", "n": 6, "k": 2, "seed": 1}
 
+    def test_directory_of_another_instance_refused(self, tmp_path, capsys):
+        # the baseline beside an instance.json belongs to that instance, so
+        # solve-sa does not overwrite it with another instance's
+        assert main(["estimate", "--n", "6", "--instance-seed", "1", "--shots", "20",
+                     "--runs", "30", "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+        before = (tmp_path / "baseline.json").read_bytes()
+        code = main(["solve-sa", "--n", "6", "--instance-seed", "2", "--seed", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "instance.json" in capsys.readouterr().err
+        assert (tmp_path / "baseline.json").read_bytes() == before
+
     @pytest.mark.parametrize("config, extra", [
         ({"instance_path": "inst.json"}, ["--k", "2"]),  # --k drops the file's instance
         ({"synthetic": {"seed": 1}}, []),
@@ -227,20 +239,21 @@ class TestEstimatePipeline:
         # were tuned on
         cfg = fast_config(shots_grid=(50, 100), runs=30)
         ensure_stage_artifacts(cfg, tmp_path)
-        calls = {"circuit_state": [], "measured_distribution": [], "_run_minimum_law": []}
-        for name, seen in calls.items():
-            original = getattr(qevt.qaoa, name)
+        circuits, laws = [], []
 
-            def recorded(*args, _seen=seen, _original=original, **kwargs):
-                _seen.append((args, kwargs))
-                return _original(*args, **kwargs)
+        def circuit(*args, _original=qevt.qaoa.circuit_state, **kwargs):
+            circuits.append(kwargs["energies"])
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(qevt.qaoa, name, recorded)
+        def law(probs, table, _original=qevt.qaoa.RunMinimumLaw.from_distribution):
+            laws.append(table)
+            return _original(probs, table)
+
+        monkeypatch.setattr(qevt.qaoa, "circuit_state", circuit)
+        monkeypatch.setattr(qevt.qaoa.RunMinimumLaw, "from_distribution", staticmethod(law))
         run_estimate(cfg, tmp_path)
-        assert len(calls["measured_distribution"]) == 1
-        ((_, circuit_kwargs),) = calls["circuit_state"]
-        (((_, law_table), _),) = calls["_run_minimum_law"]
-        assert law_table is circuit_kwargs["energies"]
+        (circuit_table,), (law_table,) = circuits, laws
+        assert law_table is circuit_table
 
     def test_cold_estimate_builds_the_instance_once(self, tmp_path, monkeypatch):
         # SA, the angle optimizer and the sampler all run on the one
@@ -316,6 +329,27 @@ class TestEstimatePipeline:
         # SaConfig's own rules, applied with the config: nothing is written
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"synthetic": {"n": 6}, "sa": sa}))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["estimate", "--config", str(path), "--shots", "20", "--runs", "30",
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("qaoa_restarts", 0, "restarts must be a positive integer"),
+        ("qaoa_maxiter", 0, "maxiter must be a positive integer"),
+        ("qaoa_depth", 0, "depth must be a positive integer"),
+        ("initial_state", "zero", "initial_state must be one of"),
+    ])
+    def test_bad_optimizer_value_rejected_before_any_work(
+        self, tmp_path, capsys, field, value, message
+    ):
+        # the optimizer's rules are applied with the config, before SA runs
+        # and before instance.json or baseline.json is written
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthetic": {"n": 6}, field: value}))
         out = tmp_path / "out"
         out.mkdir()
         code = main(["estimate", "--config", str(path), "--shots", "20", "--runs", "30",
@@ -409,18 +443,16 @@ class TestValidateCommand:
         # every offset draws from the same run-minimum law; building it is
         # the O(2^n log 2^n) part, drawing one uniform per run the cheap one
         out, cfg, _ = estimate_dir
-        calls = {"_run_minimum_law": 0, "measured_distribution": 0}
-        for name in calls:
-            original = getattr(qevt.qaoa, name)
+        calls = []
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def law(probs, table, _original=qevt.qaoa.RunMinimumLaw.from_distribution):
+            calls.append(1)
+            return _original(probs, table)
 
-            monkeypatch.setattr(qevt.qaoa, name, counted)
+        monkeypatch.setattr(qevt.qaoa.RunMinimumLaw, "from_distribution", staticmethod(law))
         payload = run_validate(cfg, out, shots_s=100, alpha=0.95, delta_range=(-3, 3), trials=20)
         assert len(payload["curve"]) == 7
-        assert calls == {"_run_minimum_law": 1, "measured_distribution": 1}
+        assert len(calls) == 1
 
     def test_rejects_zero_trials(self, estimate_dir):
         out, cfg, _ = estimate_dir
@@ -617,6 +649,12 @@ class TestConfigFile:
         ("sa", {"sweeps": "10"}),
         ("sa", {"cooling_rate": True}),
         ("sa", 5),
+        ("synthetic", {"n": "6"}),
+        ("synthetic", {"n": 6, "k": 2.0}),
+        ("synthetic", {"n": 6, "seed": True}),
+        ("synthetic", {"n": 6, "magnitude": "0.05"}),
+        ("synthetic", {"n": 6, "signal_to_noise": None}),
+        ("synthetic", {"n": 6, "penalty_weight": False}),
     ])
     def test_mistyped_value_is_a_config_error(self, tmp_path, capsys, field, value):
         # a JSON string, bool or float where the config means another type is

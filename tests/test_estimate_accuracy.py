@@ -1,48 +1,21 @@
 """Estimated run counts against the exact run counts of small instances.
 
-For n <= 12 the circuit's statevector gives the exact probability that one
-shot meets the baseline; independent readout flips act on the measured
-distribution as one 2x2 stochastic map per bit.  The true run count
-follows from the same closed form the estimator uses, so the estimate can
-be judged against it directly rather than only through trend tests.
+For n <= 12 the circuit's exact per-run minimum law
+(:func:`qevt.qaoa.circuit_law`, readout flips included) gives the exact run
+count, so the estimate can be judged against it directly rather than only
+through trend tests.
 """
 
 import math
 
-import numpy as np
 import pytest
 
-from qevt.gev import required_runs
-from qevt.pipeline import ExperimentConfig, SyntheticSpec, meets_baseline, run_estimate
-from qevt.qaoa import QaoaParams, circuit_state
-from qevt.qubo import energy_table, to_ising
+from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate
+from qevt.qaoa import QaoaParams, circuit_law
 
 SHOTS = 100
 ALPHA = 0.95
 FLIP_PROBS = (0.0, 0.02)
-
-
-def measured_distribution(state, flip_prob):
-    """Probability of each measured index after independent per-bit flips."""
-    probs = (state.conj() * state).real
-    n = int(math.log2(probs.size))
-    for i in range(n):
-        view = probs.reshape(-1, 2, 1 << i)
-        low, high = view[:, 0, :].copy(), view[:, 1, :].copy()
-        view[:, 0, :] = (1.0 - flip_prob) * low + flip_prob * high
-        view[:, 1, :] = flip_prob * low + (1.0 - flip_prob) * high
-    return probs
-
-
-def exact_runs(inst, params, y_ideal, flip_prob):
-    probs = measured_distribution(circuit_state(to_ising(inst), params), flip_prob)
-    p_shot = float(probs[meets_baseline(energy_table(inst), y_ideal)].sum())
-    return required_runs(1.0 - (1.0 - p_shot) ** SHOTS, ALPHA)
-
-
-def test_flip_map_matches_single_bit_case():
-    state = np.array([1.0, 0.0], dtype=np.complex128)
-    assert measured_distribution(state, 0.1) == pytest.approx([0.9, 0.1])
 
 
 @pytest.mark.parametrize("n,inst_seed", [(10, 1), (12, 1), (12, 3)])
@@ -63,9 +36,9 @@ def test_n_evt_within_factor_two_of_exact(tmp_path, n, inst_seed):
         report = run_estimate(cfg, tmp_path)
         assert report["status"] == "ok"
         n_evt = report["per_shots"][0]["estimates"][0]["n_evt"]
-        n_exact = exact_runs(
-            cfg.synthetic.build(), QaoaParams.from_dict(report["qaoa_params"]),
-            report["y_ideal"], flip_prob,
+        law = circuit_law(
+            cfg.synthetic.build(), QaoaParams.from_dict(report["qaoa_params"]), flip_prob
         )
+        n_exact = law.n_exact(report["y_ideal"], SHOTS, ALPHA)
         cells.append((flip_prob, n_evt, n_exact, abs(math.log2(n_evt / n_exact))))
     assert all(err <= 1.0 for *_, err in cells), f"(flip_prob, n_evt, n_exact, |log2|): {cells}"

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from qevt.errors import CapacityError
+from qevt.gev import meets_baseline, required_runs
 from qevt.qaoa import (
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
+    RunMinimumLaw,
     apply_mixer_layer,
+    circuit_law,
     circuit_state,
     collect_extreme_samples,
     expectation_energy,
@@ -20,7 +23,6 @@ from qevt.qaoa import (
     prepare_initial_state,
     run_minima_batch,
     sample_shots,
-    _run_minimum_law,
 )
 from qevt.qubo import (
     QuboInstance,
@@ -221,21 +223,22 @@ class TestExtremeSamples:
     def test_single_run(self):
         inst = generate_synthetic_q(5, seed=2)
         params = QaoaParams(1, [0.4], [0.3])
-        minima = collect_extreme_samples(inst, params, 30, 1, seed=4)
+        minima = collect_extreme_samples(inst, circuit_law(inst, params), 30, 1, seed=4)
         assert minima.shape == (1,)
 
     def test_reproducible(self):
         inst = generate_synthetic_q(6, seed=3)
         params = QaoaParams(2, [0.4, -0.2], [0.3, 0.1])
-        a = collect_extreme_samples(inst, params, 100, 20, seed=8)
-        b = collect_extreme_samples(inst, params, 100, 20, seed=8)
+        a = collect_extreme_samples(inst, circuit_law(inst, params), 100, 20, seed=8)
+        b = collect_extreme_samples(inst, circuit_law(inst, params), 100, 20, seed=8)
         assert np.array_equal(a, b)
 
     def test_minima_stochastically_decrease_with_shots(self):
         inst = generate_synthetic_q(10, seed=4)
         params = optimize_parameters(inst, 2, OptimizerConfig(restarts=3, maxiter=60, seed=0))
-        few = collect_extreme_samples(inst, params, 100, 50, seed=10)
-        many = collect_extreme_samples(inst, params, 2000, 50, seed=11)
+        law = circuit_law(inst, params)
+        few = collect_extreme_samples(inst, law, 100, 50, seed=10)
+        many = collect_extreme_samples(inst, law, 2000, 50, seed=11)
         assert many.mean() <= few.mean()
 
     @pytest.mark.parametrize("flip", [0.0, 0.1])
@@ -245,7 +248,7 @@ class TestExtremeSamples:
         # of default_rng(derive_seed(seed, "extreme-run", r))
         inst = generate_synthetic_q(8, seed=5)
         params = QaoaParams(2, [0.3, -0.4], [0.2, 0.1])
-        minima = collect_extreme_samples(inst, params, 60, 25, NoiseConfig(flip), seed=7)
+        minima = collect_extreme_samples(inst, circuit_law(inst, params, flip), 60, 25, seed=7)
         state = circuit_state(to_ising(inst), params)
         uniforms = [
             np.random.default_rng(derive_seed(7, "extreme-run", r)).random() for r in range(25)
@@ -275,26 +278,30 @@ class TestExtremeSamples:
         inst = generate_synthetic_q(8, seed=6)
         table = energy_table(inst)
         state = circuit_state(to_ising(inst), QaoaParams(1, [0.5], [0.4]), energies=table)
-        law = _run_minimum_law(measured_distribution(state, flip), table)
+        law = RunMinimumLaw.from_distribution(measured_distribution(state, flip), table)
         built = run_minima_batch(state, inst, 30, 200, NoiseConfig(flip), seed=4)
         assert np.array_equal(run_minima_batch(state, inst, 30, 200, seed=4, law=law), built)
 
-    @pytest.mark.parametrize("flip", [0.0, 0.1])
-    def test_passed_law_gives_the_same_minima(self, flip):
-        inst = generate_synthetic_q(8, seed=7)
-        params = QaoaParams(2, [0.3, -0.4], [0.2, 0.1])
-        built = collect_extreme_samples(inst, params, 60, 25, NoiseConfig(flip), seed=9,
-                                        variant="plus")
-        table = energy_table(inst)
-        state = circuit_state(to_ising(inst), params, "plus", energies=table)
-        law = _run_minimum_law(measured_distribution(state, flip), table)
-        assert np.array_equal(collect_extreme_samples(inst, params, 60, 25, seed=9, law=law), built)
+    def test_law_of_another_size_refused(self):
+        law = circuit_law(generate_synthetic_q(6, seed=1), QaoaParams(1, [0.5], [0.4]))
+        with pytest.raises(ValueError, match="dimensions"):
+            collect_extreme_samples(generate_synthetic_q(5, seed=1), law, 20, 10)
+
+    def test_state_of_another_size_refused(self):
+        # a law built from a 6-qubit state and a 5-variable table would read
+        # only part of the distribution
+        state = prepare_initial_state(6)
+        inst = generate_synthetic_q(5, seed=1)
+        with pytest.raises(ValueError, match="sizes disagree"):
+            run_minima_batch(state, inst, 20, 10)
+        with pytest.raises(ValueError, match="sizes disagree"):
+            sample_shots(state, inst, 20)
 
     def test_batch_runs_match_distribution(self):
         # the vectorized batch sampler must agree with per-run sampling in law
         inst = generate_synthetic_q(8, seed=9)
         params = QaoaParams(1, [0.5], [0.4])
-        looped = collect_extreme_samples(inst, params, 50, 400, seed=12)
+        looped = collect_extreme_samples(inst, circuit_law(inst, params), 50, 400, seed=12)
         state = circuit_state(to_ising(inst), params)
         batched = run_minima_batch(state, inst, 50, 400, seed=13)
         ks = sps.ks_2samp(looped, batched)
@@ -367,7 +374,7 @@ class TestRunMinimumLaw:
         state = random_state(n, inst_seed)
         probs = reference_measured_distribution(state, flip)
         runs = 40_000
-        minima = _run_minimum_law(measured_distribution(state, flip), table)(
+        minima = RunMinimumLaw.from_distribution(measured_distribution(state, flip), table).draw(
             shots_s, np.random.default_rng(seed).random(runs)
         )
         for level in np.unique(table):
@@ -378,8 +385,36 @@ class TestRunMinimumLaw:
     def test_minima_are_table_levels_with_mass(self):
         table = np.array([3.0, -1.0, 2.0, -1.0])
         probs = np.array([0.5, 0.0, 0.5, 0.0])
-        minima = _run_minimum_law(probs, table)(5, np.random.default_rng(0).random(1000))
+        minima = RunMinimumLaw.from_distribution(probs, table).draw(
+            5, np.random.default_rng(0).random(1000)
+        )
         assert set(minima.tolist()) == {2.0, 3.0}
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 6),
+        inst_seed=st.integers(0, 1000),
+        flip=st.sampled_from([0.0, 0.02, 0.3]),
+        shots_s=st.sampled_from([1, 7, 100]),
+        alpha=st.sampled_from([0.5, 0.9, 0.95]),
+    )
+    def test_p_run_and_n_exact_match_enumeration(self, n, inst_seed, flip, shots_s, alpha):
+        # rounded energies put several basis states on one level; every
+        # level is tried as the baseline, plus one below all levels and one
+        # above them
+        table = np.round(energy_table(generate_synthetic_q(n, seed=inst_seed)), 1)
+        state = random_state(n, inst_seed)
+        probs = reference_measured_distribution(state, flip)
+        law = RunMinimumLaw.from_distribution(measured_distribution(state, flip), table)
+        levels = np.unique(table)
+        for y_ideal in (levels[0] - 1.0, *levels, levels[-1] + 1.0):
+            p_shot = probs[meets_baseline(table, y_ideal)].sum()
+            exact = min(1.0, 1.0 - (1.0 - p_shot) ** shots_s)
+            assert abs(law.p_run(y_ideal, shots_s) - exact) <= 1e-12
+            assert law.n_exact(y_ideal, shots_s, alpha) == required_runs(exact, alpha)
+        assert law.p_run(levels[0] - 1.0, shots_s) == 0.0
+        assert law.n_exact(levels[0] - 1.0, shots_s, alpha) == np.inf
+        assert law.p_run(levels[-1], shots_s) == 1.0
 
 
 class TestMeasurementKernel:
