@@ -67,31 +67,36 @@ def default_sa_config(inst: QuboInstance, seed: int = 0, **overrides) -> SaConfi
 
 
 def _anneal_once(inst: QuboInstance, cfg: SaConfig, rng) -> tuple[np.ndarray, float]:
+    # the flip loop runs on Python floats: list reads and float arithmetic
+    # cost a fraction of numpy scalar indexing, and every operation is the
+    # same IEEE double operation, in the same order, as on numpy scalars
     n, q, k, w = inst.n, inst.q, inst.k, inst.penalty_weight
-    x = rng.integers(0, 2, size=n).astype(np.float64)
-    gx = q @ x          # running Q@x, updated on accepted flips
-    s = float(x.sum())
-    energy = float(x @ gx) + w * (s - k) ** 2
-    best_bits = x.copy()
+    x0 = rng.integers(0, 2, size=n).astype(np.float64)
+    gx0 = q @ x0        # running Q@x, updated on accepted flips
+    s = float(x0.sum())
+    energy = float(x0 @ gx0) + w * (s - k) ** 2
+    x, gx = x0.tolist(), gx0.tolist()
+    diag, columns = q.diagonal().tolist(), q.T.tolist()
+    best_bits = x[:]
     best_energy = energy
 
     temperature = cfg.initial_temperature
     for _ in range(cfg.sweeps):
-        sites = rng.integers(0, n, size=n)
-        accept_draws = rng.random(n)
+        sites = rng.integers(0, n, size=n).tolist()
+        accept_draws = rng.random(n).tolist()
         for i, u in zip(sites, accept_draws):
             d = 1.0 - 2.0 * x[i]
-            delta = 2.0 * d * gx[i] + q[i, i] + w * (2.0 * d * (s - k) + 1.0)
+            delta = 2.0 * d * gx[i] + diag[i] + w * (2.0 * d * (s - k) + 1.0)
             if delta <= 0.0 or (temperature > 0.0 and u < math.exp(-delta / temperature)):
                 x[i] += d
-                gx += d * q[:, i]
+                gx = [g + d * c for g, c in zip(gx, columns[i])]
                 s += d
                 energy += delta
                 if energy < best_energy:
                     best_energy = energy
-                    best_bits = x.copy()
+                    best_bits = x[:]
         temperature *= cfg.cooling_rate
-    return best_bits.astype(np.int8), best_energy
+    return np.array(best_bits, dtype=np.int8), best_energy
 
 
 def simulated_annealing(inst: QuboInstance, cfg: SaConfig) -> tuple[np.ndarray, float]:

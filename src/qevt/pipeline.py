@@ -30,15 +30,17 @@ from .gev import (
     gev_nll,
     gev_pdf,
     jitter,
-    meets_baseline,
+    meets_baseline,  # noqa: F401  -- imported from here by the benchmark
 )
 from .qaoa import (
     OptimizerConfig,
     QaoaParams,
     check_optimizer_values,
+    check_qubits,
     circuit_law,
     collect_extreme_samples,
     optimize_parameters,
+    run_hit_probability,
     run_minima_batch,
 )
 from .qubo import (
@@ -287,13 +289,15 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     ``qaoa_params.json`` for the angles; a missing one is computed on that
     instance and written.  An ``instance.json`` of another instance, or a
     ``baseline.json`` whose bitstring does not score its recorded energy on
-    this one, is refused with ConfigError before anything runs or is written.
-    ``y_ideal`` is ``cfg.y_ideal_override`` when set.  ``law`` is the
-    circuit's :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout
+    this one, is refused with ConfigError before anything runs or is written,
+    and so is an instance wider than the circuit simulator takes
+    (CapacityError).  ``y_ideal`` is ``cfg.y_ideal_override`` when set.
+    ``law`` is the circuit's :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout
     noise, built once for all of the command's draws.
     """
     out = Path(out_dir)
     inst, desc = resolve_instance(cfg)
+    check_qubits(inst.n)
     _check_stage_instance(inst, out)
     baseline_path = out / "baseline.json"
     baseline = read_json(baseline_path) if baseline_path.exists() else None
@@ -391,6 +395,11 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     ``fit_s*.json``, ``gev_s*.svg`` and ``report.json`` are written from its
     entries, so a fit that raises leaves none of them.
 
+    Next to each answer the report gives the circuit law's exact values:
+    ``p_run_exact`` per shots setting and ``n_exact`` per estimate.  It also
+    records ``log_miss_per_shot``, the law's log-probability that one shot
+    misses the baseline, which is all :func:`run_validate` needs of the law.
+
     The report's ``status`` is "ok" or names a breakdown: "degenerate" (no
     output variability at some shots setting) or "unreachable" (zero
     success probability, infinite run count sentinel).
@@ -408,6 +417,9 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
 
     for entry in entries:
         shots_s = entry["shots_s"]
+        entry["p_run_exact"] = law.p_run(y_ideal, shots_s)
+        for est in entry.get("estimates", ()):
+            est["n_exact"] = law.n_exact(y_ideal, shots_s, est["alpha"])
         minima, seed = minima_by_s[shots_s], extremes_seeds[shots_s]
         entry["extremes_csv"] = f"extremes_s{shots_s}.csv"
         write_csv(
@@ -435,6 +447,8 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
         "y_ideal": y_ideal,
         "qaoa_params": params.to_dict(),
         "noise": {"readout_flip_prob": cfg.readout_flip_prob},
+        "initial_state": cfg.initial_state,
+        "log_miss_per_shot": law.log_miss(y_ideal),
         "runs": cfg.runs,
         "per_shots": entries,
         "status": status,
@@ -473,16 +487,21 @@ def run_validate(
     For each offset delta, ``trials`` independent experiments of
     (n_evt + delta) runs each are simulated; the ratio is the fraction of
     experiments whose best run reached the baseline.  The curve should cross
-    the confidence level near delta = 0.  Run minima are drawn from the exact
-    per-run minimum law under the readout noise the report records, the
-    noise the estimate was made under, and the provenance hashes ``cfg``
-    with that noise in place of its own.  Each offset draws on its own seed,
+    the confidence level near delta = 0.  Each offset draws on its own seed,
     keyed by delta, so a point does not move with the requested range.
 
-    Next to each ratio the payload gives ``exact_ratio``, the law's
-    probability that the best of ``runs`` runs meets the baseline (same
-    tolerance as the estimator), read at ``runs * shots_s`` shots;
-    ``p_run_exact`` is the law's value for one run.
+    Runs are drawn from the law the estimate was made under (its circuit,
+    readout noise and initial state) through the one number of it the
+    report records, ``log_miss_per_shot``: a run meets the baseline exactly
+    when its uniform lies below ``p_run_exact``, the hit probability of
+    shots_s shots.  :meth:`~qevt.qaoa.RunMinimumLaw.draw` would give the
+    same hits from the same uniforms, so no circuit is rebuilt.  A report
+    without the field is refused with ConfigError.  The provenance hashes
+    ``cfg`` with the report's noise and initial state in place of its own.
+
+    Next to each ratio the payload gives ``exact_ratio``, the probability
+    that the best of ``runs`` runs meets the baseline: the same formula at
+    ``runs * shots_s`` shots.
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -491,6 +510,13 @@ def run_validate(
     if trials < 1:
         raise ConfigError("trials must be positive")
     report = read_json(report_path)
+    missing = [key for key in ("log_miss_per_shot", "initial_state") if key not in report]
+    if missing:
+        raise ConfigError(
+            f"{report_path} records no {' or '.join(missing)}; rerun the estimate command "
+            "in a fresh output directory"
+        )
+    log_miss = float(report["log_miss_per_shot"])
     y_ideal = float(report["y_ideal"])
     if n_evt is None:
         raw = _report_estimate(report, shots_s, alpha)["n_evt"]
@@ -500,10 +526,9 @@ def run_validate(
                 "the target is unreachable and cannot be validated"
             )
         n_evt = int(raw)
-    cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"])
-    inst = load_instance(out / "instance.json")
-    params = QaoaParams.from_dict(report["qaoa_params"])
-    law = circuit_law(inst, params, cfg.readout_flip_prob, cfg.initial_state)
+    cfg = replace(cfg, readout_flip_prob=report["noise"]["readout_flip_prob"],
+                  initial_state=report["initial_state"])
+    p_run = run_hit_probability(log_miss, shots_s)
 
     lo, hi = delta_range
     if lo > hi:
@@ -514,12 +539,10 @@ def run_validate(
         if runs_count < 1:
             continue
         seed = derive_seed(cfg.seed, "validate", shots_s, delta)
-        minima = run_minima_batch(
-            None, inst, shots_s, runs_count * trials, seed=seed, law=law
-        ).reshape(trials, runs_count)
-        ratio = float(meets_baseline(minima.min(axis=1), y_ideal).mean())
-        curve.append({"delta": delta, "runs": runs_count, "ratio": ratio,
-                      "exact_ratio": law.p_run(y_ideal, shots_s * runs_count)})
+        uniforms = np.random.default_rng(seed).random(runs_count * trials)
+        hits = (uniforms.reshape(trials, runs_count) < p_run).any(axis=1)
+        curve.append({"delta": delta, "runs": runs_count, "ratio": float(hits.mean()),
+                      "exact_ratio": run_hit_probability(log_miss, shots_s * runs_count)})
 
     tag = f"s{shots_s}_a{int(round(alpha * 100))}"
     write_csv(
@@ -546,7 +569,7 @@ def run_validate(
         "n_evt": n_evt,
         "trials": trials,
         "y_ideal": y_ideal,
-        "p_run_exact": law.p_run(y_ideal, shots_s),
+        "p_run_exact": p_run,
         "curve": curve,
         "provenance": _provenance(cfg, {"validate": derive_seed(cfg.seed, "validate", shots_s, 0)}),
     }

@@ -10,7 +10,11 @@ one run's minimum energy, readout flips included (folded into
 :func:`measured_distribution`), built once by :func:`circuit_law`.  Each run
 is that law inverted at one uniform, single shots (:func:`sample_shots`)
 are the law at s = 1, and the law also gives the exact success probability
-and run count the estimates are judged by.
+and run count the estimates are judged by.  Against a baseline the law
+reduces to one number, the log-probability that a shot misses it
+(:meth:`RunMinimumLaw.log_miss`); the estimate records it, and validation
+draws run hits from it through :func:`run_hit_probability` without
+rebuilding the circuit.
 
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
@@ -117,6 +121,12 @@ class OptimizerConfig:
         check_optimizer_values(vars(self))
 
 
+def check_qubits(n: int) -> None:
+    """Refuse, with CapacityError, a circuit wider than the statevector limit."""
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the statevector limit of {MAX_QUBITS}")
+
+
 def _num_qubits(state: np.ndarray) -> int:
     n = int(np.log2(state.size))
     if 1 << n != state.size:
@@ -135,8 +145,7 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the statevector limit of {MAX_QUBITS}")
+    check_qubits(n)
     check_optimizer_values({"initial_state": variant})
     amp = 2.0 ** (-n / 2.0)
     state = np.full(1 << n, amp, dtype=np.complex128)
@@ -256,6 +265,14 @@ def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
     return probs
 
 
+def run_hit_probability(log_miss: float, shots: int) -> float:
+    """P(at least one of ``shots`` shots meets the baseline) when one shot
+    misses it with log-probability ``log_miss``: 1 - exp(shots * log_miss).
+    numpy's expm1, as in :meth:`RunMinimumLaw.draw`, so the value is the
+    draw's own bound; 0.0 - x keeps a zero probability +0.0."""
+    return float(0.0 - np.expm1(shots * log_miss))
+
+
 @dataclass(frozen=True, eq=False)
 class RunMinimumLaw:
     """The exact law of one run's minimum energy, at any shots per run.
@@ -287,11 +304,17 @@ class RunMinimumLaw:
         law = -np.expm1(shots_s * self.log_survival)
         return self.levels[np.searchsorted(law, uniforms, side="right")]
 
-    def p_run(self, y_ideal: float, shots_s: int) -> float:
-        """P(a run of shots_s shots meets the baseline): the law at the highest
-        of the k levels that meet it, which are the k lowest; 0 when k = 0."""
+    def log_miss(self, y_ideal: float) -> float:
+        """log P(one shot misses the baseline): the log survival at the highest
+        of the k levels that meet it, which are the k lowest; 0 when k = 0,
+        -inf when every level meets it."""
         k = count_hits(self.levels, y_ideal)
-        return 0.0 if k == 0 else float(-np.expm1(shots_s * self.log_survival[k - 1]))
+        return 0.0 if k == 0 else float(self.log_survival[k - 1])
+
+    def p_run(self, y_ideal: float, shots_s: int) -> float:
+        """P(a run of shots_s shots meets the baseline).  A drawn run minimum
+        meets it exactly when its uniform lies below this value."""
+        return run_hit_probability(self.log_miss(y_ideal), shots_s)
 
     def n_exact(self, y_ideal: float, shots_s: int, alpha: float):
         """The run count that meets the baseline with confidence ``alpha``."""

@@ -1,22 +1,28 @@
 """Frozen artifact bytes of one small noisy estimate followed by a validation,
 and of one sample-size run.
 
-Both samplers draw each run's minimum from the circuit's exact per-run
+The estimate draws each run's minimum from the circuit's exact per-run
 minimum law (``qevt.qaoa.RunMinimumLaw``) at one uniform per run; the
-estimate has two hashes and the validation one:
+validation draws only whether each run meets the baseline, from the one
+number of that law the report records.  The estimate has two hashes and the
+validation one:
 
 - ``ESTIMATE_SHA256`` covers ``report.json`` and ``extremes_s*.csv``.  Their
   per-run minima come from ``collect_extreme_samples``, run r at the first
   double of its own recorded seed, and the fits and run counts are built on
-  them.
+  them.  Next to those answers the report holds the law's exact values:
+  ``p_run_exact`` per shots setting, ``n_exact`` per estimate, and
+  ``log_miss_per_shot``, the log-probability that one shot misses the
+  baseline, with the ``initial_state`` the circuit started from.
 - ``FIT_SVG_SHA256`` covers the estimate's ``fit_s*.json`` and
   ``gev_s*.svg``: the jittered GEV fit of each setting's minima and the plot
   of the law and the answer's route.
-- ``VALIDATE_SHA256`` covers ``validate_*.json``.  Its run minima come from
-  ``run_minima_batch``, at the doubles of one generator in run order, and
-  its run counts from the ``n_evt`` of the report.  Its ``p_run_exact`` and
-  each ``exact_ratio`` are read from the same law, at s and at runs x s
-  shots.
+- ``VALIDATE_SHA256`` covers ``validate_*.json``.  A run hits when its
+  uniform, a double of one generator in run order, lies below the hit
+  probability ``log_miss_per_shot`` gives at s shots; that is the hit of the
+  run minimum the law would draw from the same uniform.  Its run counts come
+  from the ``n_evt`` of the report, its ``p_run_exact`` and each
+  ``exact_ratio`` from the same number at s and at runs x s shots.
 
 A change that moves any stream -- another law or readout-flip map, another
 energy table, another seed derivation -- or that changes the report layout
@@ -45,7 +51,7 @@ from qevt.pipeline import (
 )
 from qevt.sample_size import SampleSizeConfig
 
-ESTIMATE_SHA256 = "cccf7965ea290f20c2f8b05e03a265b30568478eaeed67f5078088ea2fe8c63a"
+ESTIMATE_SHA256 = "5a1b6c4e963f9082de3331d4c97dac7637f4a5768f6bc2a0fac7e33334030973"
 FIT_SVG_SHA256 = "1fc94a844fc6f54efd439557adb408753bbdbdbb899f912b043e5864fad90af9"
 VALIDATE_SHA256 = "3e14bb820c9feec3b9d5720bc37b374353e585889d119c6ae7a22d461153fa74"
 SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"

@@ -13,7 +13,13 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 import qevt.qaoa  # noqa: E402
-from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_estimate, run_validate  # noqa: E402
+from qevt.pipeline import (  # noqa: E402
+    ExperimentConfig,
+    SyntheticSpec,
+    run_estimate,
+    run_shot_sweep,
+    run_validate,
+)
 from qevt.qaoa import NoiseConfig, QaoaParams, circuit_state  # noqa: E402
 from qevt.qubo import generate_synthetic_q, to_ising  # noqa: E402
 
@@ -47,6 +53,8 @@ def test_tracer_wraps_every_traced_name_and_restores_them(tmp_path):
             assert getattr(bound, "__wrapped__", None) is before[(mod_name, fn_name)], fn_name
         run_estimate(cfg, tmp_path)
         run_validate(cfg, tmp_path, shots_s=20, alpha=0.95, delta_range=(0, 0), trials=20)
+        # validate draws no run minima; the shot sweep reaches run_minima_batch
+        run_shot_sweep(cfg, tmp_path, reps=5)
     assert tracer.trace.calls("qubo.energy_table") >= 1
     assert tracer.trace.calls("qaoa.circuit_state") >= 1
     # the tracer keys minima by the instance it reads from the samplers'

@@ -34,7 +34,7 @@ from qevt.pipeline import (
     run_sample_size,
     run_validate,
 )
-from qevt.qaoa import QaoaParams, circuit_state
+from qevt.qaoa import QaoaParams, circuit_law, circuit_state
 from qevt.qubo import energy_table, load_instance, to_ising
 from qevt.sample_size import SampleSizeConfig
 from qevt.seeding import derive_seed
@@ -180,9 +180,28 @@ class TestEstimatePipeline:
                 minima_by_s[s] = np.array([float(row["min_energy"]) for row in csv.DictReader(fh)])
             jitter_seeds[s] = json.loads((out / f"fit_s{s}.json").read_text())["seed"]
         entries = answer_minima(minima_by_s, report["y_ideal"], cfg.alphas, jitter_seeds)
-        recorded = [{k: v for k, v in entry.items() if k not in ("extremes_csv", "svg")}
-                    for entry in report["per_shots"]]
+        # the circuit law's exact fields are run_estimate's, not the answer's
+        recorded = [
+            {k: v for k, v in entry.items() if k not in ("extremes_csv", "svg", "p_run_exact")}
+            for entry in report["per_shots"]
+        ]
+        for entry in recorded:
+            entry["estimates"] = [{k: v for k, v in est.items() if k != "n_exact"}
+                                  for est in entry["estimates"]]
         assert recorded == jsonable(entries)
+
+    def test_exact_fields_next_to_every_answer(self, estimate_dir):
+        out, cfg, report = estimate_dir
+        inst = load_instance(out / "instance.json")
+        law = circuit_law(inst, QaoaParams.from_dict(report["qaoa_params"]),
+                          cfg.readout_flip_prob, cfg.initial_state)
+        y_ideal = report["y_ideal"]
+        assert report["log_miss_per_shot"] == law.log_miss(y_ideal)
+        assert report["initial_state"] == cfg.initial_state
+        for entry in report["per_shots"]:
+            assert entry["p_run_exact"] == law.p_run(y_ideal, entry["shots_s"])
+            for est in entry["estimates"]:
+                assert est["n_exact"] == law.n_exact(y_ideal, entry["shots_s"], est["alpha"])
 
     def test_answer_minima_writes_no_file(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -358,6 +377,18 @@ class TestEstimatePipeline:
         assert list(out.iterdir()) == []
         assert message in capsys.readouterr().err
 
+    def test_oversize_instance_refused_before_any_write(self, tmp_path, capsys):
+        # the circuit cannot take n=26, so neither SA nor a stage file is spent on it
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthetic": {"n": 26}, "sa": {"sweeps": 5, "restarts": 1}}))
+        out = tmp_path / "out"
+        code = main(["estimate", "--config", str(path), "--shots", "20", "--runs", "30",
+                     "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert not (out / "instance.json").exists()
+        assert not (out / "baseline.json").exists()
+        assert "n=26 exceeds the statevector limit of 24" in capsys.readouterr().err
+
     def test_unreachable_target_exit_code(self, tmp_path):
         code = main([
             "estimate", "--n", "10", "--k", "8", "--instance-seed", "4",
@@ -439,20 +470,54 @@ class TestValidateCommand:
         assert header == "delta,runs,ratio,exact_ratio"
         assert "exact ratio" in (out / "validate_s100_a95.svg").read_text()
 
-    def test_one_law_per_validation(self, estimate_dir, monkeypatch):
-        # every offset draws from the same run-minimum law; building it is
-        # the O(2^n log 2^n) part, drawing one uniform per run the cheap one
+    def test_validation_builds_no_law_and_no_circuit(self, estimate_dir, monkeypatch):
+        # every offset draws run hits from the miss probability the report
+        # records; rebuilding the circuit and its law was the O(n 2^n) part
         out, cfg, _ = estimate_dir
         calls = []
 
-        def law(probs, table, _original=qevt.qaoa.RunMinimumLaw.from_distribution):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return _original(probs, table)
+            raise AssertionError("validate rebuilt the circuit or its law")
 
-        monkeypatch.setattr(qevt.qaoa.RunMinimumLaw, "from_distribution", staticmethod(law))
+        monkeypatch.setattr(qevt.qaoa.RunMinimumLaw, "from_distribution", staticmethod(counted))
+        monkeypatch.setattr(qevt.qaoa, "circuit_state", counted)
         payload = run_validate(cfg, out, shots_s=100, alpha=0.95, delta_range=(-3, 3), trials=20)
         assert len(payload["curve"]) == 7
-        assert len(calls) == 1
+        assert calls == []
+
+    def test_checks_the_estimates_circuit_not_its_own_configs(self, tmp_path):
+        # the estimate ran from |+>^n; validate without --config defaults to
+        # |->^n, yet must check the circuit the report was estimated on
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "synthetic": {"n": 8, "seed": 1}, "initial_state": "plus", "qaoa_restarts": 1,
+            "qaoa_maxiter": 40, "sa": {"sweeps": 50, "restarts": 1},
+        }))
+        out = tmp_path / "out"
+        assert main(["estimate", "--config", str(path), "--shots", "20", "--runs", "40",
+                     "--out-dir", str(out)]) == EXIT_OK
+        assert main(["validate", "--out-dir", str(out), "--shots", "20",
+                     "--trials", "200"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        payload = json.loads((out / "validate_s20_a95.json").read_text())
+        law = circuit_law(load_instance(out / "instance.json"),
+                          QaoaParams.from_dict(report["qaoa_params"]), 0.0, "plus")
+        assert payload["p_run_exact"] == law.p_run(report["y_ideal"], 20)
+        sampled = ExperimentConfig(instance_path=str(out / "instance.json"), initial_state="plus")
+        assert payload["provenance"]["config_hash"] == sampled.config_hash()
+
+    def test_report_without_the_miss_probability_refused(self, estimate_dir, tmp_path, capsys):
+        # a report written before the estimate recorded log_miss_per_shot
+        out, cfg, _ = estimate_dir
+        report = json.loads((out / "report.json").read_text())
+        del report["log_miss_per_shot"]
+        (tmp_path / "report.json").write_text(json.dumps(report))
+        (tmp_path / "instance.json").write_bytes((out / "instance.json").read_bytes())
+        code = main(["validate", "--shots", "100", "--out-dir", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "log_miss_per_shot" in capsys.readouterr().err
+        assert list(tmp_path.glob("validate_*")) == []
 
     def test_rejects_zero_trials(self, estimate_dir):
         out, cfg, _ = estimate_dir

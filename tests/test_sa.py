@@ -1,9 +1,13 @@
 """Simulated-annealing baseline behavior."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qevt.annealing import SaConfig, default_sa_config, simulated_annealing
+from qevt.annealing import SaConfig, _anneal_once, default_sa_config, simulated_annealing
 from qevt.qubo import QuboInstance, brute_force_minimum, generate_synthetic_q, qubo_energy
 from qevt.seeding import rng_from
 
@@ -77,3 +81,57 @@ def test_default_temperature_scales_with_q():
     assert cfg.initial_temperature == pytest.approx(10 * np.max(np.abs(inst.q)))
     flat = QuboInstance(n=4, q=np.zeros((4, 4)), k=2)
     assert default_sa_config(flat).initial_temperature == 1.0
+
+
+def _anneal_once_numpy(inst, cfg, rng):
+    """The flip loop on numpy scalars and a numpy column add: the reference
+    the Python-float loop of ``qevt.annealing._anneal_once`` must match."""
+    n, q, k, w = inst.n, inst.q, inst.k, inst.penalty_weight
+    x = rng.integers(0, 2, size=n).astype(np.float64)
+    gx = q @ x
+    s = float(x.sum())
+    energy = float(x @ gx) + w * (s - k) ** 2
+    best_bits = x.copy()
+    best_energy = energy
+    temperature = cfg.initial_temperature
+    for _ in range(cfg.sweeps):
+        sites = rng.integers(0, n, size=n)
+        accept_draws = rng.random(n)
+        for i, u in zip(sites, accept_draws):
+            d = 1.0 - 2.0 * x[i]
+            delta = 2.0 * d * gx[i] + q[i, i] + w * (2.0 * d * (s - k) + 1.0)
+            if delta <= 0.0 or (temperature > 0.0 and u < math.exp(-delta / temperature)):
+                x[i] += d
+                gx += d * q[:, i]
+                s += d
+                energy += delta
+                if energy < best_energy:
+                    best_energy = energy
+                    best_bits = x.copy()
+        temperature *= cfg.cooling_rate
+    return best_bits.astype(np.int8), best_energy
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 14),
+    inst_seed=st.integers(0, 10_000),
+    k_frac=st.floats(0.0, 1.0),
+    penalty_weight=st.floats(0.0, 5.0),
+    magnitude=st.floats(0.01, 3.0),
+    initial_temperature=st.floats(1e-3, 50.0),
+    cooling_rate=st.floats(0.5, 0.999),
+    sweeps=st.integers(1, 40),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_python_float_loop_matches_the_numpy_loop(n, inst_seed, k_frac, penalty_weight, magnitude,
+                                                  initial_temperature, cooling_rate, sweeps,
+                                                  rng_seed):
+    inst = generate_synthetic_q(n, seed=inst_seed, k=round(k_frac * n), magnitude=magnitude,
+                                penalty_weight=penalty_weight)
+    cfg = SaConfig(initial_temperature=initial_temperature, cooling_rate=cooling_rate,
+                   sweeps=sweeps, restarts=1)
+    bits, energy = _anneal_once(inst, cfg, np.random.default_rng(rng_seed))
+    ref_bits, ref_energy = _anneal_once_numpy(inst, cfg, np.random.default_rng(rng_seed))
+    assert bits.dtype == ref_bits.dtype and np.array_equal(bits, ref_bits)
+    assert energy == ref_energy
