@@ -5,6 +5,12 @@ diagonal in the computational basis), the mixer as a product of single-qubit
 e^{-i beta X} rotations.  Measurement sampling, optional readout bit-flip
 noise, and the collection of per-run minimum energies live here too.
 
+One pair kernel, :func:`_pair_map`, applies both per-bit maps, the mixer's
+rotation and the readout flips: each sets an entry to c times itself plus m
+times its partner across one bit.  It works on cache-sized blocks and gives
+the doubles of the plain per-bit reshape, which the tests keep as its
+reference.
+
 One law serves every sampler.  :class:`RunMinimumLaw` is the exact law of
 one run's minimum energy, readout flips included (folded into
 :func:`measured_distribution`), built once by :func:`circuit_law`.  Each run
@@ -43,6 +49,10 @@ INITIAL_STATE_VARIANTS = ("plus", "minus")
 
 GAMMA_BOUND = np.pi
 BETA_BOUND = np.pi / 2
+
+# the pair kernel works on blocks of 2^13 amplitudes (128 KiB complex), which
+# stay in cache across all of a block's bits
+_BLOCK_QUBITS = 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,17 +165,56 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
     return state
 
 
+def _pair_map(x: np.ndarray, c, m) -> None:
+    """For each bit i in order, x <- c * x + m * (x with bit i flipped), in
+    place: e^{-i beta X} per qubit with c = cos(beta), m = -i sin(beta), and
+    the readout-flip map per bit with c = 1 - p, m = p.
+
+    Bits below ``_BLOCK_QUBITS`` run on each contiguous block of
+    2^_BLOCK_QUBITS entries, the higher bits on column chunks of the same
+    size gathered across the blocks, so every pass stays in cache.  Each pass
+    is ``c * a + m * b`` on the pair (a, b) and ``c * b + m * a`` on its
+    partner, the products and sums of the plain per-bit reshape.
+    """
+    n = _num_qubits(x)
+    low = min(n, _BLOCK_QUBITS)
+    size = 1 << low
+    spare, chunk, partner = (np.empty(size, x.dtype) for _ in range(3))
+
+    def passes(src, dst, strides):
+        # src and dst alternate; returns the array holding the result
+        for stride in strides:
+            v, d = src.reshape(-1, 2, stride), dst.reshape(-1, 2, stride)
+            t = partner.reshape(-1, 2, stride)
+            np.multiply(c, v, out=d)
+            np.multiply(m, v[:, ::-1, :], out=t)
+            d += t
+            src, dst = dst, src
+        return src
+
+    low_strides = [1 << i for i in range(low)]
+    for block in x.reshape(-1, size):
+        out = passes(block, spare, low_strides)
+        if out is not block:
+            block[...] = out
+    rows = 1 << (n - low)
+    if rows == 1:
+        return
+    # bit low + h of x is bit h of a row index of the (rows, size) view; a
+    # chunk is `width` whole columns (rows <= size, as n <= MAX_QUBITS)
+    width = size // rows
+    columns = x.reshape(rows, size)
+    high_strides = [width << h for h in range(n - low)]
+    for start in range(0, size, width):
+        view = columns[:, start:start + width]
+        np.copyto(chunk.reshape(rows, width), view)
+        view[...] = passes(chunk, spare, high_strides).reshape(rows, width)
+
+
 def apply_mixer_layer(state: np.ndarray, beta: float) -> np.ndarray:
     """Apply e^{-i beta X} to every qubit."""
-    n = _num_qubits(state)
     out = state.copy()
-    c, s = np.cos(beta), np.sin(beta)
-    for i in range(n):
-        view = out.reshape(-1, 2, 1 << i)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = c * a - 1j * s * b
-        view[:, 1, :] = -1j * s * a + c * b
+    _pair_map(out, np.cos(beta), -1j * np.sin(beta))
     return out
 
 
@@ -191,10 +240,14 @@ def circuit_state(
     """Statevector after depth_p alternating cost/mixer layers."""
     if energies is None:
         energies = ising_energy_table(model)
+    if energies.size != 1 << model.n:
+        raise ValueError("energy table and model dimensions disagree")
     state = prepare_initial_state(model.n, variant)
     for gamma, beta in zip(params.gammas, params.betas):
-        state *= np.exp(-1j * gamma * energies)
-        state = apply_mixer_layer(state, beta)
+        phase = (-1j * gamma) * energies
+        np.exp(phase, out=phase)
+        state *= phase
+        _pair_map(state, np.cos(beta), -1j * np.sin(beta))
     return state
 
 
@@ -248,20 +301,12 @@ def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
     """Probability of each measured basis index, readout flips included.
 
     Independent per-bit flips act on the distribution as one 2x2 stochastic
-    map per bit, applied in place with the reshape of
-    :func:`apply_mixer_layer`: O(n 2^n).
+    map per bit, applied in place by the mixer's pair kernel: O(n 2^n).
     """
-    n = _num_qubits(state)
+    _num_qubits(state)  # refuses a length that is not a power of two
     probs = (state.conj() * state).real.copy()
-    if flip_prob == 0.0:
-        return probs
-    keep = 1.0 - flip_prob
-    for i in range(n):
-        view = probs.reshape(-1, 2, 1 << i)
-        a = view[:, 0, :].copy()
-        b = view[:, 1, :]
-        view[:, 0, :] = keep * a + flip_prob * b
-        view[:, 1, :] = flip_prob * a + keep * b
+    if flip_prob != 0.0:
+        _pair_map(probs, 1.0 - flip_prob, flip_prob)
     return probs
 
 
@@ -291,17 +336,31 @@ class RunMinimumLaw:
         """The law of measured distribution ``probs`` scored with ``energies``."""
         if probs.shape != energies.shape:
             raise ValueError("measured distribution and energy table sizes disagree")
-        order = np.argsort(energies, kind="stable")
-        cdf = np.cumsum(probs[order])
+        # with strictly increasing levels the sorting permutation is unique,
+        # so the default sort gives the stable sort's order; ties (or NaN)
+        # fall back to the stable sort
+        order = np.argsort(energies)
+        levels = energies[order]
+        if not np.all(levels[1:] > levels[:-1]):
+            order = np.argsort(energies, kind="stable")
+            levels = energies[order]
+        # F, then log(1 - F), in place in one table-sized array
+        cdf = probs[order]
+        np.cumsum(cdf, out=cdf)
         cdf /= cdf[-1]
         # the last F is exactly 1, so log(1 - F) = -inf and the law reaches 1
         # there: every uniform in [0, 1) finds a level
+        np.negative(cdf, out=cdf)
         with np.errstate(divide="ignore"):
-            return cls(energies[order], np.log1p(-cdf))
+            np.log1p(cdf, out=cdf)
+        return cls(levels, cdf)
 
     def draw(self, shots_s: int, uniforms: np.ndarray) -> np.ndarray:
         """Minima of runs of shots_s shots: the law inverted at one uniform per run."""
-        law = -np.expm1(shots_s * self.log_survival)
+        # in place: one table-sized array, the largest transient of a draw
+        law = shots_s * self.log_survival
+        np.expm1(law, out=law)
+        np.negative(law, out=law)
         return self.levels[np.searchsorted(law, uniforms, side="right")]
 
     def log_miss(self, y_ideal: float) -> float:

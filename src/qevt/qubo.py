@@ -33,6 +33,10 @@ from .errors import CapacityError, InstanceFormatError
 
 MAX_EXACT_N = 24
 
+# ising_energy_table adds couplings on bits below this through a pattern over
+# these bits, so no inner loop of its broadcast adds is shorter than 2^8
+_PATTERN_BITS = 8
+
 DEFAULT_CARDINALITY = {10: 8, 13: 11, 15: 12, 18: 14}
 
 
@@ -180,22 +184,39 @@ def energy_table(inst: QuboInstance) -> np.ndarray:
 def ising_energy_table(model: IsingModel) -> np.ndarray:
     """Spin energies of all 2^n basis states under z_i = 2 x_i - 1.
 
-    The spins are kept as int8 (+1/-1): each term ``h_i * z_i`` and
-    ``J_ij * (z_i * z_j)`` is then exactly +-h_i or +-J_ij, the same doubles
-    as with float spins, at an eighth of their memory.
+    No spin arrays.  The fields fill the table by doubling: the entries with
+    bit i set are those below 2^i plus h_i, and those below 2^i take -h_i.
+    Each coupling is then one in-place add of +-J_ij broadcast over a view
+    of the table: [[J, -J], [-J, J]] on the view whose two axes are bits i
+    and j, or a +-J pattern over the lowest ``_PATTERN_BITS`` bits, so that
+    numpy's inner loop stays long for low bits.  Every term added is exactly
+    +-h_i or +-J_ij, in the order offset, fields, couplings: the doubles of
+    ``offset + sum h_i z_i + sum J_ij z_i z_j`` summed term by term.
     """
     _check_capacity(model.n)
     n = model.n
-    size = 1 << n
-    out = np.full(size, model.offset, dtype=np.float64)
-    idx = np.arange(size, dtype=np.uint32)  # n <= MAX_EXACT_N < 32
-    spins = []
-    for i in range(n):
-        z = ((idx >> i) & 1).astype(np.int8) * 2 - 1
-        spins.append(z)
-        out += model.h[i] * z
+    out = np.empty(1 << n, dtype=np.float64)
+    out[0] = model.offset
+    for i, h in enumerate(model.h):
+        half = 1 << i
+        np.add(out[:half], h, out=out[half : 2 * half])
+        out[:half] -= h
+    low = min(n, _PATTERN_BITS)
+    # row i: z_i over the entries below 2^low
+    signs = np.where(np.arange(1 << low) >> np.arange(low)[:, None] & 1, 1.0, -1.0)
     for (a, b), v in model.j.items():
-        out += v * (spins[a] * spins[b])
+        if a >= low:
+            view = out.reshape(-1, 2, 1 << (b - a - 1), 2, 1 << a)
+            view += np.array([[v, -v], [-v, v]])[:, None, :, None]
+            continue
+        pattern = v * signs[a]  # J z_a on the low bits
+        if b < low:
+            pattern *= signs[b]
+            view = out.reshape(-1, 1 << low)
+            view += pattern
+        else:
+            view = out.reshape(-1, 2, 1 << (b - low), 1 << low)
+            view += np.stack([-pattern, pattern])[:, None, :]
     return out
 
 

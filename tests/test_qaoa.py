@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -25,6 +25,7 @@ from qevt.qaoa import (
     sample_shots,
 )
 from qevt.qubo import (
+    IsingModel,
     QuboInstance,
     bits_to_index,
     brute_force_minimum,
@@ -88,6 +89,95 @@ class TestMixerLayer:
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
+def reference_mixer_layer(state, beta):
+    """e^{-i beta X} per qubit by the plain per-bit reshape: the reference
+    the cache-blocked pair kernel must match bit for bit."""
+    n = int(np.log2(state.size))
+    out = state.copy()
+    c, s = np.cos(beta), np.sin(beta)
+    for i in range(n):
+        view = out.reshape(-1, 2, 1 << i)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = c * a - 1j * s * b
+        view[:, 1, :] = -1j * s * a + c * b
+    return out
+
+
+def reference_readout_flips(state, flip_prob):
+    """The readout-flip map one bit at a time by the plain per-bit reshape."""
+    n = int(np.log2(state.size))
+    probs = (state.conj() * state).real.copy()
+    if flip_prob == 0.0:
+        return probs
+    keep = 1.0 - flip_prob
+    for i in range(n):
+        view = probs.reshape(-1, 2, 1 << i)
+        a = view[:, 0, :].copy()
+        b = view[:, 1, :]
+        view[:, 0, :] = keep * a + flip_prob * b
+        view[:, 1, :] = flip_prob * a + keep * b
+    return probs
+
+
+def reference_circuit_state(model, params, variant, energies):
+    state = prepare_initial_state(model.n, variant)
+    for gamma, beta in zip(params.gammas, params.betas):
+        state *= np.exp(-1j * gamma * energies)
+        state = reference_mixer_layer(state, beta)
+    return state
+
+
+# n = 14..16 run the pair kernel's column-chunk pass, for bits above a block
+PAIR_KERNEL_SIZES = st.integers(1, 16)
+
+
+class TestPairKernel:
+    """The cache-blocked pair kernel gives the doubles of the per-bit reshape."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=PAIR_KERNEL_SIZES,
+        beta=st.sampled_from([0.0, np.pi / 2, -np.pi / 2]) | st.floats(-np.pi, np.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=14, beta=0.3, seed=1)
+    @example(n=16, beta=-np.pi / 2, seed=2)
+    def test_mixer_matches_the_reshape_mixer(self, n, beta, seed):
+        state = random_state(n, seed)
+        assert np.array_equal(apply_mixer_layer(state, beta), reference_mixer_layer(state, beta))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=PAIR_KERNEL_SIZES,
+        depth=st.integers(1, 3),
+        variant=st.sampled_from(["plus", "minus"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=15, depth=2, variant="minus", seed=3)
+    def test_circuit_state_matches_the_reshape_circuit(self, n, depth, variant, seed):
+        rng = np.random.default_rng(seed)
+        model = IsingModel(n=n, h=rng.normal(size=n),
+                           j={(a, b): float(rng.normal()) for a in range(n) for b in range(a + 1, n)},
+                           offset=float(rng.normal()))
+        params = QaoaParams(depth, rng.uniform(-np.pi, np.pi, depth), rng.uniform(-1.5, 1.5, depth))
+        energies = ising_energy_table(model)
+        assert np.array_equal(circuit_state(model, params, variant, energies),
+                              reference_circuit_state(model, params, variant, energies))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=PAIR_KERNEL_SIZES,
+        flip=st.sampled_from([0.0, 0.02, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=16, flip=0.02, seed=4)
+    def test_readout_flips_match_the_reshape_loop(self, n, flip, seed):
+        state = random_state(n, seed)
+        assert np.array_equal(measured_distribution(state, flip),
+                              reference_readout_flips(state, flip))
+
+
 class TestExpectation:
     def test_uniform_state_gives_mean_energy(self):
         inst = generate_synthetic_q(6, seed=4)
@@ -127,6 +217,13 @@ class TestCircuit:
         params = QaoaParams(5, rng.uniform(-np.pi, np.pi, 5), rng.uniform(-1.5, 1.5, 5))
         state = circuit_state(model, params)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [1, 4, 16])
+    def test_table_of_another_size_refused(self, size):
+        model = to_ising(generate_synthetic_q(3, seed=1))
+        params = QaoaParams(1, [0.5], [0.4])
+        with pytest.raises(ValueError, match="energy table"):
+            circuit_state(model, params, energies=np.full(size, 2.0))
 
     def test_variant_beta_sign_symmetry(self):
         # |-> start equals Z^n |+> start; the diagonal layers commute with Z^n
@@ -381,6 +478,23 @@ class TestRunMinimumLaw:
             exact = min(1.0, 1.0 - (1.0 - probs[table <= level].sum()) ** shots_s)
             empirical = float((minima <= level).mean())
             assert abs(empirical - exact) <= 5.0 * np.sqrt(exact * (1.0 - exact) / runs) + 1e-12
+
+    @pytest.mark.parametrize("table", ["zero", "integer"])
+    def test_tied_levels_keep_the_stable_order(self, table):
+        # Q = 0 puts every basis state of one Hamming weight on one level;
+        # integer Q ties many more.  The mass of tied states differs, so the
+        # order inside a tie moves log_survival
+        n = 12
+        q = np.zeros((n, n)) if table == "zero" else np.round(generate_synthetic_q(n, seed=3).q * 40)
+        energies = energy_table(QuboInstance(n=n, q=q, k=4))
+        probs = measured_distribution(random_state(n, 5), 0.0)
+        law = RunMinimumLaw.from_distribution(probs, energies)
+        order = np.argsort(energies, kind="stable")
+        cdf = np.cumsum(probs[order])
+        cdf /= cdf[-1]
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(law.log_survival, np.log1p(-cdf))
+        assert np.array_equal(law.levels, energies[order])
 
     def test_minima_are_table_levels_with_mass(self):
         table = np.array([3.0, -1.0, 2.0, -1.0])

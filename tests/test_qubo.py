@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevt.errors import CapacityError, InstanceFormatError
 from qevt.qubo import (
@@ -67,6 +69,23 @@ def float_spin_table(model):
         out += model.h[i] * z
     for (a, b), v in model.j.items():
         out += v * spins[a] * spins[b]
+    return out
+
+
+def int8_spin_table(model):
+    """Reference: the spin-form table from int8 spin arrays, each term
+    ``h_i * z_i`` and ``J_ij * (z_i * z_j)`` added over the whole table in
+    the order offset, fields, couplings."""
+    size = 1 << model.n
+    out = np.full(size, model.offset, dtype=np.float64)
+    idx = np.arange(size, dtype=np.uint32)
+    spins = []
+    for i in range(model.n):
+        z = ((idx >> i) & 1).astype(np.int8) * 2 - 1
+        spins.append(z)
+        out += model.h[i] * z
+    for (a, b), v in model.j.items():
+        out += v * (spins[a] * spins[b])
     return out
 
 
@@ -196,6 +215,24 @@ class TestEnergyTables:
     def test_integer_couplings_stay_in_float(self):
         model = IsingModel(n=3, h=[0.5, 0.0, 1.0], j={(0, 1): 300, (1, 2): -2}, offset=1)
         assert np.array_equal(ising_energy_table(model), float_spin_table(model))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 16),
+        w=st.floats(0.0, 5.0),
+        integer_couplings=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_the_int8_spin_table(self, n, w, integer_couplings, seed):
+        rng = np.random.default_rng(seed)
+        if integer_couplings:
+            j = {(a, b): int(rng.integers(-3, 4)) for a in range(n) for b in range(a + 1, n)}
+            model = IsingModel(n=n, h=rng.integers(-3, 4, n) * w, j=j, offset=w)
+        else:
+            q = rng.uniform(-1.0, 1.0, (n, n))
+            model = to_ising(QuboInstance(n=n, q=(q + q.T) / 2, k=int(rng.integers(0, n + 1)),
+                                          penalty_weight=w))
+        assert np.array_equal(ising_energy_table(model), int8_spin_table(model))
 
     def test_table_matches_pointwise_energy(self):
         inst = generate_synthetic_q(5, seed=2)
