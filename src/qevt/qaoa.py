@@ -25,10 +25,11 @@ rebuilding the circuit.
 Basis-state index convention matches :mod:`qevt.qubo`: bit i of the index is
 variable x_i.
 
-:func:`optimize_parameters` imports scipy itself (``scipy.optimize`` for
-COBYLA, ``scipy.stats.qmc`` only when it draws Halton starts), so that
-importing this module, and every command that reuses stored angles, loads
-no scipy.
+:func:`optimize_parameters` tunes the angles with bounded L-BFGS-B on the
+exact expectation and its adjoint gradient (:func:`expectation_and_gradient`).
+It imports scipy itself (``scipy.optimize`` for L-BFGS-B, ``scipy.stats.qmc``
+only when it draws Halton starts), so that importing this module, and every
+command that reuses stored angles, loads no scipy.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def check_optimizer_values(values: dict) -> None:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Derivative-free angle optimization settings (COBYLA, multi-start)."""
+    """Angle optimization settings: multi-start bounded L-BFGS-B, at most
+    ``maxiter`` iterations per start."""
 
     restarts: int = 10
     maxiter: int = 200
@@ -157,12 +159,15 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
         raise ValueError("n must be at least 1")
     check_qubits(n)
     check_optimizer_values({"initial_state": variant})
-    amp = 2.0 ** (-n / 2.0)
-    state = np.full(1 << n, amp, dtype=np.complex128)
-    if variant == "minus":
-        parity = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 1
-        state[parity == 1] *= -1.0
-    return state
+    # the signs by doubling: bit i's upper half is the lower half times
+    # sign, every entry exactly +-amp (real, so each imaginary part is +0.0)
+    sign = -1.0 if variant == "minus" else 1.0
+    signs = np.empty(1 << n)
+    signs[0] = 2.0 ** (-n / 2.0)
+    for i in range(n):
+        half = 1 << i
+        np.multiply(signs[:half], sign, out=signs[half:2 * half])
+    return signs.astype(np.complex128)
 
 
 def _pair_map(x: np.ndarray, c, m) -> None:
@@ -251,15 +256,68 @@ def circuit_state(
     return state
 
 
+def _flip_sum(x: np.ndarray) -> np.ndarray:
+    """sum_i X_i x: each entry the sum of its n partners across one bit."""
+    n = _num_qubits(x)
+    # bit 0's partners, then each higher bit's added in place
+    out = x.reshape(-1, 2)[:, ::-1].flatten()
+    for i in range(1, n):
+        view = out.reshape(-1, 2, 1 << i)
+        view += x.reshape(-1, 2, 1 << i)[:, ::-1, :]
+    return out
+
+
+def expectation_and_gradient(
+    model: IsingModel,
+    params: QaoaParams,
+    variant: str = "minus",
+    energies: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """<H> of the circuit and its derivatives in (gammas..., betas...).
+
+    The value is :func:`expectation_energy` of one :func:`circuit_state`.
+    The derivatives come by adjoint differentiation (Jones & Gacon,
+    arXiv:2009.02823): with lam = E psi, walk the layers backwards, reading
+    d beta_k = 2 Im <lam| sum_i X_i |phi> and d gamma_k = 2 Im <lam| E |phi>
+    and undoing layer k's mixer and phase on both phi and lam.
+    """
+    if energies is None:
+        energies = ising_energy_table(model)
+    phi = circuit_state(model, params, variant, energies)
+    value = expectation_energy(phi, model, energies)
+    lam = energies * phi
+    p = params.depth_p
+    grad = np.empty(2 * p)
+    for k in reversed(range(p)):
+        gamma, beta = params.gammas[k], params.betas[k]
+        grad[p + k] = 2.0 * np.vdot(lam, _flip_sum(phi)).imag
+        for x in (phi, lam):
+            _pair_map(x, np.cos(beta), 1j * np.sin(beta))
+        grad[k] = 2.0 * np.vdot(lam, energies * phi).imag
+        phase = (1j * gamma) * energies
+        np.exp(phase, out=phase)
+        phi *= phase
+        lam *= phase
+    return value, grad
+
+
+# start 0 is the linear ramp gamma_k = s (k + 1/2) / p, beta_k = +-s (1 - (k
+# + 1/2) / p) of Sack & Serbyn (Quantum 5, 491, 2021): at the all-zero angles
+# every derivative vanishes, so a gradient method would stop there at once
+_RAMP_SCALE = 0.5
+
+
 def optimize_parameters(
     inst: QuboInstance, depth_p: int, cfg: OptimizerConfig = OptimizerConfig()
 ) -> QaoaParams:
     """Angles minimizing the exact expectation of the cost Hamiltonian.
 
-    COBYLA from multiple starts: the all-zero angles (uniform state) plus
-    scrambled-Halton points inside gamma in [-pi, pi], beta in [-pi/2, pi/2].
-    Every start itself counts as a candidate, so the result is never worse
-    than the best start.  Deterministic for a fixed seed.
+    Bounded L-BFGS-B on the adjoint gradient (:func:`expectation_and_gradient`)
+    inside gamma in [-pi, pi], beta in [-pi/2, pi/2], from multiple starts: a
+    linear ramp plus scrambled-Halton points.  Every start and every end
+    point is a candidate, and so are the all-zero angles (the uniform state),
+    so the result is never worse than the best start or the uniform state.
+    Deterministic for a fixed seed.
     """
     from scipy import optimize
 
@@ -270,31 +328,42 @@ def optimize_parameters(
     lo = np.array([-GAMMA_BOUND] * depth_p + [-BETA_BOUND] * depth_p)
     hi = -lo
 
-    def objective(angles: np.ndarray) -> float:
-        params = QaoaParams(depth_p, angles[:depth_p], angles[depth_p:])
-        return expectation_energy(circuit_state(model, params, cfg.initial_state, energies), model, energies)
+    def split(angles: np.ndarray) -> QaoaParams:
+        return QaoaParams(depth_p, angles[:depth_p], angles[depth_p:])
 
-    starts = [np.zeros(2 * depth_p)]
+    # the ramp follows the adiabatic path out of the start state: |->^n is the
+    # ground state of sum_i X_i and |+>^n that of -sum_i X_i, so the ramp's
+    # betas take that sign (the two variants then give mirrored angles)
+    frac = (np.arange(depth_p) + 0.5) / depth_p
+    beta_sign = 1.0 if cfg.initial_state == "minus" else -1.0
+    starts = [_RAMP_SCALE * np.concatenate([frac, beta_sign * (1.0 - frac)])]
     if cfg.restarts > 1:
         from scipy.stats import qmc
 
         sampler = qmc.Halton(d=2 * depth_p, scramble=True, seed=derive_seed(cfg.seed, "qaoa-starts"))
         starts.extend(qmc.scale(sampler.random(cfg.restarts - 1), lo, hi))
 
-    candidates = []
-    for idx, x0 in enumerate(starts):
-        candidates.append((objective(x0), idx, 0, np.asarray(x0, dtype=np.float64)))
-        res = optimize.minimize(
-            objective,
-            x0,
-            method="COBYLA",
-            bounds=list(zip(lo, hi)),
-            options={"maxiter": cfg.maxiter, "rhobeg": 0.5},
-        )
-        x = np.clip(res.x, lo, hi)
-        candidates.append((float(objective(x)), idx, 1, x))
-    best = min(candidates, key=lambda t: (t[0], t[1], t[2]))[3]
-    return QaoaParams(depth_p, best[:depth_p], best[depth_p:])
+    evaluated = []
+
+    def value_and_gradient(angles: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad = expectation_and_gradient(model, split(angles), cfg.initial_state, energies)
+        evaluated.append(value)
+        return value, grad
+
+    # ties go to the earliest candidate: the zero angles, then each start
+    # before its end point
+    zeros = np.zeros(2 * depth_p)
+    uniform = circuit_state(model, split(zeros), cfg.initial_state, energies)
+    candidates = [(expectation_energy(uniform, model, energies), zeros)]
+    for x0 in starts:
+        first = len(evaluated)
+        res = optimize.minimize(value_and_gradient, x0, jac=True, method="L-BFGS-B",
+                                bounds=optimize.Bounds(lo, hi), options={"maxiter": cfg.maxiter})
+        # L-BFGS-B evaluates the start first; res.fun is its value at res.x
+        candidates.append((evaluated[first], x0))
+        candidates.append((res.fun, res.x))
+    best = min(candidates, key=lambda c: c[0])[1]
+    return split(best)
 
 
 def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:

@@ -231,10 +231,13 @@ def test_criterion_11_breakdown_handling(tmp_path):
         and degenerate["per_shots"][0]["breakdown"] == "degenerate_samples"
     )
 
-    # unreachable target: baseline forced below the true ground state
+    # unreachable target: baseline forced below the true ground state, at a
+    # shots setting whose minima vary (a run reaches the ground state with
+    # probability about 0.46); with minima all equal the report says
+    # "degenerate" first (tests/test_cli.py pins that order)
     unreachable_cfg = ExperimentConfig(
         synthetic=SyntheticSpec(n=12, seed=1),
-        shots_grid=(500,), runs=120, seed=3,
+        shots_grid=(50,), runs=120, seed=3,
         qaoa_restarts=6, qaoa_maxiter=120,
         y_ideal_override=float(energy_table(generate_synthetic_q(12, seed=1)).min()) - 1.0,
     )

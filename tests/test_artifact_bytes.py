@@ -24,7 +24,8 @@ validation one:
   from the ``n_evt`` of the report, its ``p_run_exact`` and each
   ``exact_ratio`` from the same number at s and at runs x s shots.
 
-A change that moves any stream -- another law or readout-flip map, another
+A change that moves any stream -- other tuned angles, another law or
+readout-flip map, another
 energy table, another seed derivation -- or that changes the report layout
 or the package version changes a hash below.
 Such a change must be deliberate: update the constant in the same commit and
@@ -51,9 +52,9 @@ from qevt.pipeline import (
 )
 from qevt.sample_size import SampleSizeConfig
 
-ESTIMATE_SHA256 = "5a1b6c4e963f9082de3331d4c97dac7637f4a5768f6bc2a0fac7e33334030973"
-FIT_SVG_SHA256 = "1fc94a844fc6f54efd439557adb408753bbdbdbb899f912b043e5864fad90af9"
-VALIDATE_SHA256 = "3e14bb820c9feec3b9d5720bc37b374353e585889d119c6ae7a22d461153fa74"
+ESTIMATE_SHA256 = "98f772315fca6cd33cf3ff0916113023fae9a47eda89847162ad21f3e851ecd0"
+FIT_SVG_SHA256 = "776ac22dba5b03630de6eb627ccba61c793dd8f644891f8867ebfd8bad51b150"
+VALIDATE_SHA256 = "bd42a2997a94ca7be0c7ebe61396aeb9518f5e5b7af14a81b43f4f13c3ce78f3"
 SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"
 
 

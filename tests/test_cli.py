@@ -111,7 +111,7 @@ class TestSolveSaCommand:
     def test_directory_of_another_instance_refused(self, tmp_path, capsys):
         # the baseline beside an instance.json belongs to that instance, so
         # solve-sa does not overwrite it with another instance's
-        assert main(["estimate", "--n", "6", "--instance-seed", "1", "--shots", "20",
+        assert main(["estimate", "--n", "6", "--instance-seed", "1", "--shots", "2",
                      "--runs", "30", "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
         before = (tmp_path / "baseline.json").read_bytes()
         code = main(["solve-sa", "--n", "6", "--instance-seed", "2", "--seed", "1",
@@ -306,7 +306,7 @@ class TestEstimatePipeline:
         assert main(["solve-sa", "--n", "6", "--instance-seed", "1", "--seed", "1",
                      "--out-dir", str(tmp_path)]) == EXIT_OK
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        args = ["estimate", "--n", "6", "--shots", "20", "--runs", "30", "--seed", "1",
+        args = ["estimate", "--n", "6", "--shots", "2", "--runs", "30", "--seed", "1",
                 "--out-dir", str(tmp_path)]
         assert main(args + ["--instance-seed", "2"]) == EXIT_CONFIG
         assert "baseline.json" in capsys.readouterr().err
@@ -326,6 +326,22 @@ class TestEstimatePipeline:
         assert code == EXIT_DEGENERATE
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "degenerate"
+        assert report["per_shots"][0]["breakdown"] == "degenerate_samples"
+
+    def test_equal_minima_above_an_unreachable_baseline_are_degenerate(self, tmp_path):
+        # the documented order: the degenerate check comes before the answer,
+        # so minima that are all the ground energy give "degenerate" (exit 3)
+        # even when the baseline lies below every level and no run can meet it
+        ground = float(energy_table(SyntheticSpec(n=6, k=5, seed=1).build()).min())
+        code = main([
+            "estimate", "--n", "6", "--k", "5", "--instance-seed", "1",
+            "--shots", "500", "--runs", "40", "--seed", "2", "--y-ideal", repr(ground - 1.0),
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == EXIT_DEGENERATE
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "degenerate"
+        assert report["per_shots"][0]["p_run_exact"] == 0.0
         assert report["per_shots"][0]["breakdown"] == "degenerate_samples"
 
     def test_bad_noise_rejected_before_any_work(self, tmp_path, capsys):
@@ -473,7 +489,7 @@ class TestValidateCommand:
     def test_validation_builds_no_law_and_no_circuit(self, estimate_dir, monkeypatch):
         # every offset draws run hits from the miss probability the report
         # records; rebuilding the circuit and its law was the O(n 2^n) part
-        out, cfg, _ = estimate_dir
+        out, cfg, report = estimate_dir
         calls = []
 
         def counted(*args, **kwargs):
@@ -483,7 +499,10 @@ class TestValidateCommand:
         monkeypatch.setattr(qevt.qaoa.RunMinimumLaw, "from_distribution", staticmethod(counted))
         monkeypatch.setattr(qevt.qaoa, "circuit_state", counted)
         payload = run_validate(cfg, out, shots_s=100, alpha=0.95, delta_range=(-3, 3), trials=20)
-        assert len(payload["curve"]) == 7
+        entry = next(e for e in report["per_shots"] if e["shots_s"] == 100)
+        n_evt = next(est["n_evt"] for est in entry["estimates"] if est["alpha"] == 0.95)
+        # an offset that leaves no run is skipped
+        assert len(payload["curve"]) == sum(n_evt + delta >= 1 for delta in range(-3, 4))
         assert calls == []
 
     def test_checks_the_estimates_circuit_not_its_own_configs(self, tmp_path):

@@ -85,6 +85,16 @@ def test_estimate_without_halton_starts_and_validate_load_no_scipy_stats(tmp_pat
         assert not {m for m in loaded if m.startswith("scipy.stats")}, config
 
 
+def test_cold_estimate_loads_no_pure_python_optimizer(tmp_path):
+    # the angles are tuned by L-BFGS-B on the adjoint gradient; scipy's
+    # COBYLA is a pure-Python port (scipy._lib.pyprima) and is not used
+    (tmp_path / "cold.json").write_text(json.dumps(_ESTIMATE_CONFIG))
+    loaded = _scipy_modules_after(
+        _cli(["estimate", "--config", "cold.json", "--out-dir", "out"]), tmp_path)
+    assert "scipy.optimize" in loaded
+    assert not {m for m in loaded if m.startswith("scipy._lib.pyprima")}
+
+
 def test_gev_optimize_is_scipy_optimize():
     # the benchmark's tracer reads and rebinds qevt.gev.optimize
     import scipy.optimize

@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+import qevt.qaoa
 from qevt.errors import CapacityError
 from qevt.gev import meets_baseline, required_runs
 from qevt.qaoa import (
+    BETA_BOUND,
+    GAMMA_BOUND,
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
@@ -17,6 +20,7 @@ from qevt.qaoa import (
     circuit_law,
     circuit_state,
     collect_extreme_samples,
+    expectation_and_gradient,
     expectation_energy,
     measured_distribution,
     optimize_parameters,
@@ -71,6 +75,19 @@ class TestInitialState:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             prepare_initial_state(25)
+
+    @pytest.mark.parametrize("variant", ["plus", "minus"])
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_doubled_signs_match_the_parity_mask(self, n, variant):
+        # the former construction: a sign flip through a boolean parity mask
+        amp = 2.0 ** (-n / 2.0)
+        expected = np.full(1 << n, amp, dtype=np.complex128)
+        if variant == "minus":
+            parity = np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 1
+            expected[parity == 1] *= -1.0
+        state = prepare_initial_state(n, variant)
+        assert np.array_equal(state, expected)
+        assert state.tobytes() == expected.tobytes()  # signed zeros too
 
 
 class TestMixerLayer:
@@ -252,6 +269,15 @@ class TestOptimizer:
         uniform_mean = energy_table(inst).mean()
         assert optimized <= uniform_mean + 1e-9
 
+    def test_zero_angles_win_when_every_start_ends_worse(self, monkeypatch):
+        # a ramp far too steep, stopped after one iteration, starts (5.11) and
+        # ends (3.59) above the uniform state (1.95); the zero angles are a
+        # candidate of their own
+        monkeypatch.setattr(qevt.qaoa, "_RAMP_SCALE", 2.5)
+        inst = generate_synthetic_q(4, seed=0)
+        params = optimize_parameters(inst, 2, OptimizerConfig(restarts=1, maxiter=1))
+        assert not params.gammas.any() and not params.betas.any()
+
     def test_boosts_ground_state_mass(self):
         inst = generate_synthetic_q(8, seed=5)
         bits, _ = brute_force_minimum(inst)
@@ -269,11 +295,132 @@ class TestOptimizer:
         assert np.array_equal(a.gammas, b.gammas)
         assert np.array_equal(a.betas, b.betas)
 
+    def test_ramp_start_follows_the_initial_state(self):
+        # |+>^n with betas -b measures as |->^n with b, and the first start's
+        # betas change sign with the start state, so one start reaches the
+        # same expectation from either
+        inst = generate_synthetic_q(8, seed=3)
+        model = to_ising(inst)
+        values = []
+        for variant in ("plus", "minus"):
+            params = optimize_parameters(inst, 3, OptimizerConfig(restarts=1, initial_state=variant))
+            values.append(expectation_energy(circuit_state(model, params, variant), model))
+        assert values[0] == pytest.approx(values[1], abs=1e-9)
+        assert values[1] < energy_table(inst).mean() - 1.0
+
     def test_angles_respect_bounds(self):
         inst = generate_synthetic_q(5, seed=14)
         params = optimize_parameters(inst, 3, OptimizerConfig(restarts=5, maxiter=60, seed=2))
         assert np.all(np.abs(params.gammas) <= np.pi + 1e-9)
         assert np.all(np.abs(params.betas) <= np.pi / 2 + 1e-9)
+
+
+def random_model(n, seed):
+    rng = np.random.default_rng(seed)
+    return IsingModel(n=n, h=rng.normal(size=n),
+                      j={(a, b): float(rng.normal()) for a in range(n) for b in range(a + 1, n)},
+                      offset=float(rng.normal()))
+
+
+class TestGradient:
+    """The adjoint gradient the optimizer runs on."""
+
+    CASES = dict(
+        n=st.integers(1, 10),
+        depth=st.integers(1, 4),
+        variant=st.sampled_from(["plus", "minus"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def params(depth, seed):
+        rng = np.random.default_rng([seed, 1])
+        return QaoaParams(depth, rng.uniform(-GAMMA_BOUND, GAMMA_BOUND, depth),
+                          rng.uniform(-BETA_BOUND, BETA_BOUND, depth))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_value_is_the_circuits_expectation(self, n, depth, variant, seed):
+        model, params = random_model(n, seed), self.params(depth, seed)
+        energies = ising_energy_table(model)
+        value, _ = expectation_and_gradient(model, params, variant, energies)
+        assert value == expectation_energy(circuit_state(model, params, variant, energies),
+                                           model, energies)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_gradient_matches_central_differences(self, n, depth, variant, seed):
+        model, params = random_model(n, seed), self.params(depth, seed)
+        energies = ising_energy_table(model)
+        _, grad = expectation_and_gradient(model, params, variant, energies)
+        angles, h = np.concatenate([params.gammas, params.betas]), 1e-6
+
+        def value(x):
+            state = circuit_state(model, QaoaParams(depth, x[:depth], x[depth:]), variant, energies)
+            return expectation_energy(state, model, energies)
+
+        step = h * np.eye(2 * depth)
+        central = [(value(angles + e) - value(angles - e)) / (2 * h) for e in step]
+        # the differences' rounding is about 1e-16 |E| / h, their truncation
+        # h^2 |E|^3 / 6: both far below 1e-8 |E| here
+        np.testing.assert_allclose(grad, central, rtol=1e-6, atol=1e-8 * np.abs(energies).max())
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(**CASES)
+    def test_zero_angles_are_stationary(self, n, depth, variant, seed):
+        # the phases leave the start's probabilities alone and the start is an
+        # X eigenstate, so a gradient method started at zero stops there: the
+        # optimizer's first start is a ramp
+        model = random_model(n, seed)
+        _, grad = expectation_and_gradient(
+            model, QaoaParams(depth, np.zeros(depth), np.zeros(depth)), variant)
+        assert np.all(np.abs(grad) < 1e-12)
+
+
+def reference_cobyla_parameters(inst, depth_p, cfg):
+    """The former optimizer, the reference the gradient optimizer must not
+    lose to: COBYLA from the all-zero angles plus the same Halton starts,
+    each start and each end point a candidate."""
+    from scipy import optimize
+    from scipy.stats import qmc
+
+    model = to_ising(inst)
+    energies = ising_energy_table(model)
+    lo = np.array([-GAMMA_BOUND] * depth_p + [-BETA_BOUND] * depth_p)
+    hi = -lo
+
+    def objective(angles):
+        params = QaoaParams(depth_p, angles[:depth_p], angles[depth_p:])
+        return expectation_energy(circuit_state(model, params, cfg.initial_state, energies), model, energies)
+
+    starts = [np.zeros(2 * depth_p)]
+    if cfg.restarts > 1:
+        sampler = qmc.Halton(d=2 * depth_p, scramble=True, seed=derive_seed(cfg.seed, "qaoa-starts"))
+        starts.extend(qmc.scale(sampler.random(cfg.restarts - 1), lo, hi))
+    candidates = []
+    for idx, x0 in enumerate(starts):
+        candidates.append((objective(x0), idx, 0, np.asarray(x0, dtype=np.float64)))
+        res = optimize.minimize(objective, x0, method="COBYLA", bounds=list(zip(lo, hi)),
+                                options={"maxiter": cfg.maxiter, "rhobeg": 0.5})
+        x = np.clip(res.x, lo, hi)
+        candidates.append((float(objective(x)), idx, 1, x))
+    best = min(candidates, key=lambda t: (t[0], t[1], t[2]))[3]
+    return QaoaParams(depth_p, best[:depth_p], best[depth_p:])
+
+
+@pytest.mark.parametrize("variant", ["plus", "minus"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_angles_never_worse_than_cobyla(n, seed, variant):
+    inst = generate_synthetic_q(n, seed=seed)
+    model = to_ising(inst)
+    cfg = OptimizerConfig(restarts=2, maxiter=60, seed=seed, initial_state=variant)
+
+    def value(params):
+        return expectation_energy(circuit_state(model, params, variant), model)
+
+    assert value(optimize_parameters(inst, 3, cfg)) <= (
+        value(reference_cobyla_parameters(inst, 3, cfg)) + 1e-9)
 
 
 class TestSampling:
