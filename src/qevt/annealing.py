@@ -15,55 +15,35 @@ import numpy as np
 
 from .qubo import QuboInstance, bits_to_index, qubo_energy
 from .seeding import rng_from
-from .utils import check_rules, is_integer, is_number
-
-DEFAULT_COOLING_RATE = 0.995
-DEFAULT_SWEEPS = 1000
-DEFAULT_RESTARTS = 10
-
-# SaConfig's value rules per field: the test a value must pass, and the rule
-# a refusal names
-_SA_RULES = {
-    "initial_temperature": (lambda v: is_number(v) and v > 0, "a positive number"),
-    "cooling_rate": (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)"),
-    "sweeps": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "restarts": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "seed": (is_integer, "an integer"),
-}
-
-
-def check_sa_values(values: dict) -> None:
-    """SaConfig's value rules on the fields ``values`` holds, all or some:
-    SaConfig checks itself with it, and ExperimentConfig a config's ``sa``
-    overrides before anything runs or is written."""
-    check_rules(values, _SA_RULES)
+from .utils import INTEGER, OPEN_UNIT, POSITIVE_INTEGER, check_rules, is_number
 
 
 @dataclass(frozen=True)
 class SaConfig:
     initial_temperature: float
-    cooling_rate: float = DEFAULT_COOLING_RATE
-    sweeps: int = DEFAULT_SWEEPS
-    restarts: int = DEFAULT_RESTARTS
+    cooling_rate: float = 0.995
+    sweeps: int = 1000
+    restarts: int = 10
     seed: int = 0
 
+    # ExperimentConfig applies these rules to a config's ``sa`` overrides too
+    RULES = {
+        "initial_temperature": (lambda v: is_number(v) and v > 0, "a positive number"),
+        "cooling_rate": OPEN_UNIT,
+        "sweeps": POSITIVE_INTEGER,
+        "restarts": POSITIVE_INTEGER,
+        "seed": INTEGER,
+    }
+
     def __post_init__(self):
-        check_sa_values(vars(self))
+        check_rules(vars(self), self.RULES, "sa")
 
 
 def default_sa_config(inst: QuboInstance, seed: int = 0, **overrides) -> SaConfig:
     """Scale-aware defaults: T0 = n * max|Q| (floored at 1.0 so small-entry
     instances still anneal instead of quenching)."""
     t0 = max(inst.n * float(np.max(np.abs(inst.q)) if inst.q.size else 0.0), 1.0)
-    params = {
-        "initial_temperature": t0,
-        "cooling_rate": DEFAULT_COOLING_RATE,
-        "sweeps": DEFAULT_SWEEPS,
-        "restarts": DEFAULT_RESTARTS,
-        "seed": seed,
-    }
-    params.update(overrides)
-    return SaConfig(**params)
+    return SaConfig(**{"initial_temperature": t0, "seed": seed, **overrides})
 
 
 def _sweep_draws(rng, n: int, sweeps: int):

@@ -174,6 +174,8 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigError(f"{args.config} must hold a JSON object, got {payload!r}")
 
     flags = {dest: value for dest, value in vars(args).items()
              if value is not None and dest.partition(".")[0] in CONFIG_FIELDS}
@@ -190,7 +192,9 @@ def _load_config(args) -> ExperimentConfig:
     for dest, value in flags.items():
         block, _, name = dest.rpartition(".")
         if block:
-            payload[block] = {**(payload.get(block) or {}), name: value}
+            # a block that is no JSON object is left for from_dict to refuse
+            current = {} if payload.get(block) is None else payload[block]
+            payload[block] = {**current, name: value} if isinstance(current, dict) else current
         else:
             payload[dest] = value
     return ExperimentConfig.from_dict(payload)

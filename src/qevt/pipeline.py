@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .annealing import SaConfig, check_sa_values, default_sa_config, simulated_annealing
+from .annealing import SaConfig, default_sa_config, simulated_annealing
 from .errors import ConfigError, DegenerateSamplesError
 from .gev import (
     BASELINE_RTOL,
@@ -33,10 +33,9 @@ from .gev import (
     meets_baseline,  # noqa: F401  -- imported from here by the benchmark
 )
 from .qaoa import (
+    NoiseConfig,
     OptimizerConfig,
     QaoaParams,
-    check_optimizer_values,
-    check_qubits,
     circuit_law,
     collect_extreme_samples,
     optimize_parameters,
@@ -46,6 +45,7 @@ from .qaoa import (
 from .qubo import (
     QuboInstance,
     brute_force_minimum,
+    check_qubits,
     generate_synthetic_q,
     load_instance,
     qubo_energy,
@@ -54,7 +54,15 @@ from .qubo import (
 from .sample_size import SampleSizeConfig, estimate_required_extremes, reference_parameters
 from .seeding import derive_seed
 from .svg import histogram_with_curve, line_chart
-from .utils import is_integer, is_number, jsonable
+from .utils import (
+    INTEGER,
+    OPEN_UNIT,
+    POSITIVE_INTEGER,
+    check_rules,
+    is_integer,
+    is_number,
+    jsonable,
+)
 
 STATUS_OK = "ok"
 STATUS_DEGENERATE = "degenerate"
@@ -62,12 +70,12 @@ STATUS_UNREACHABLE = "unreachable"
 
 BREAKDOWN_DEGENERATE = "degenerate_samples"
 
-DEFAULT_SHOTS_GRID = (500, 1000, 2000)
-DEFAULT_ALPHAS = (0.90, 0.95)
-DEFAULT_RUNS = 200
-DEFAULT_DEPTH = 3
+_NUMBER = (is_number, "a number")
 
-_INTEGER_FIELDS = ("qaoa_depth", "qaoa_restarts", "qaoa_maxiter", "runs", "pool_runs", "seed")
+
+def _each(test):
+    """The test of a non-empty list whose every item passes ``test``."""
+    return lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(test, v))
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,18 @@ class SyntheticSpec:
     signal_to_noise: float = 3.0
     penalty_weight: float = 1.0
 
+    # types only: generate_synthetic_q checks the values
+    RULES = {
+        "n": INTEGER,
+        "k": (lambda v: v is None or is_integer(v), "an integer or null"),
+        "seed": INTEGER,
+        "magnitude": _NUMBER,
+        "signal_to_noise": _NUMBER,
+        "penalty_weight": _NUMBER,
+    }
+
     def __post_init__(self):
-        # a config file's "6" or true must be refused, not compared
-        for name, value in vars(self).items():
-            kind, test = (("an integer", is_integer) if name in ("n", "k", "seed")
-                          else ("a number", is_number))
-            if not test(value) and not (name == "k" and value is None):
-                raise ConfigError(f"synthetic: {name} must be {kind}, got {value!r}")
+        check_rules(vars(self), self.RULES, "synthetic")
 
     def build(self) -> QuboInstance:
         return generate_synthetic_q(**asdict(self))
@@ -96,53 +109,45 @@ class ExperimentConfig:
     instance_path: str | None = None
     synthetic: SyntheticSpec | None = None
     sa: dict | None = None                 # overrides for default_sa_config
-    qaoa_depth: int = DEFAULT_DEPTH
+    qaoa_depth: int = 3
     qaoa_restarts: int = 10
     qaoa_maxiter: int = 200
     initial_state: str = "minus"
     readout_flip_prob: float = 0.0
-    shots_grid: tuple = DEFAULT_SHOTS_GRID
-    runs: int = DEFAULT_RUNS
-    alphas: tuple = DEFAULT_ALPHAS
+    shots_grid: tuple = (500, 1000, 2000)
+    runs: int = 200
+    alphas: tuple = (0.90, 0.95)
     sample_size: SampleSizeConfig | None = None
     pool_runs: int = 1000                  # fresh-pool size for sample-size runs
     y_ideal_override: float | None = None
     seed: int = 0
 
+    RULES = {
+        "instance_path": (lambda v: v is None or isinstance(v, str), "a path or null"),
+        "synthetic": (lambda v: v is None or isinstance(v, SyntheticSpec), "a block or null"),
+        "sa": (lambda v: v is None or isinstance(v, dict), "a JSON object or null"),
+        "qaoa_depth": POSITIVE_INTEGER,
+        "qaoa_restarts": OptimizerConfig.RULES["restarts"],
+        "qaoa_maxiter": OptimizerConfig.RULES["maxiter"],
+        "initial_state": OptimizerConfig.RULES["initial_state"],
+        "readout_flip_prob": NoiseConfig.RULES["readout_flip_prob"],
+        "shots_grid": (_each(POSITIVE_INTEGER[0]), "non-empty positive integers"),
+        "runs": POSITIVE_INTEGER,
+        "alphas": (_each(OPEN_UNIT[0]), "non-empty numbers in (0, 1)"),
+        "sample_size": (lambda v: v is None or isinstance(v, SampleSizeConfig), "a block or null"),
+        "pool_runs": POSITIVE_INTEGER,
+        "y_ideal_override": (lambda v: v is None or is_number(v) and math.isfinite(v),
+                             "a finite number or null"),
+        "seed": INTEGER,
+    }
+
     def __post_init__(self):
-        # types before values: a config file's "5" or true must be refused,
-        # not compared
         if (self.instance_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of instance_path / synthetic must be set")
-        for name in _INTEGER_FIELDS:
-            if not is_integer(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.runs < 1:
-            raise ConfigError("runs must be positive")
-        try:
-            check_optimizer_values({"depth": self.qaoa_depth, "restarts": self.qaoa_restarts,
-                                    "maxiter": self.qaoa_maxiter,
-                                    "initial_state": self.initial_state})
-        except ValueError as exc:
-            raise ConfigError(f"qaoa: {exc}") from exc
-        if not is_number(self.readout_flip_prob) or not 0.0 <= self.readout_flip_prob <= 0.5:
-            raise ConfigError("readout_flip_prob must lie in [0, 0.5]")
-        if not (isinstance(self.shots_grid, (list, tuple)) and self.shots_grid
-                and all(is_integer(s) and s >= 1 for s in self.shots_grid)):
-            raise ConfigError("shots_grid must be non-empty positive integers")
+        check_rules(vars(self), self.RULES, "config")
         if len(set(self.shots_grid)) < len(self.shots_grid):
             raise ConfigError(f"shots_grid repeats a setting: {list(self.shots_grid)}")
-        if not isinstance(self.sa or {}, dict):
-            raise ConfigError(f"sa must be a mapping of SA settings, got {self.sa!r}")
-        try:
-            check_sa_values(_known_fields(SaConfig, self.sa or {}, "sa"))
-        except ValueError as exc:
-            raise ConfigError(f"sa: {exc}") from exc
-        if not (isinstance(self.alphas, (list, tuple)) and self.alphas
-                and all(is_number(a) and 0 < a < 1 for a in self.alphas)):
-            raise ConfigError("alphas must lie in (0, 1)")
-        if self.y_ideal_override is not None and not is_number(self.y_ideal_override):
-            raise ConfigError(f"y_ideal_override must be a number, got {self.y_ideal_override!r}")
+        check_rules(_known_fields(SaConfig, self.sa or {}, "sa"), SaConfig.RULES, "sa")
         object.__setattr__(self, "shots_grid", tuple(int(s) for s in self.shots_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
 
@@ -151,28 +156,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        payload = dict(payload)
+        payload = dict(_known_fields(cls, payload, "config"))
         if payload.get("synthetic") is not None:
             spec = _known_fields(SyntheticSpec, payload["synthetic"], "synthetic")
             if "n" not in spec:
                 raise ConfigError("a synthetic instance needs its size n")
             payload["synthetic"] = SyntheticSpec(**spec)
-        if payload.get("sample_size") is not None:
-            payload["sample_size"] = sample_size_config(
-                payload.get("seed", cls.seed), payload["sample_size"]
-            )
-        return cls(**_known_fields(cls, payload, "config"))
+        # the sample_size block's default seed derives from the master seed,
+        # which the config checks first
+        block = payload.pop("sample_size", None)
+        cfg = cls(**payload)
+        return cfg if block is None else replace(cfg, sample_size=sample_size_config(cfg.seed, block))
 
     def config_hash(self) -> str:
         canonical = json.dumps(jsonable(self.to_dict()), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _known_fields(cls, payload: dict, what: str) -> dict:
-    """``payload``, refused with ConfigError if a key is not a field of ``cls``."""
+def _known_fields(cls, payload, block: str) -> dict:
+    """``payload``, refused with ConfigError if it is not a JSON object or a
+    key is not a field of ``cls``."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{block} must be a JSON object, got {payload!r}")
     extra = set(payload) - {f.name for f in fields(cls)}
     if extra:
-        raise ConfigError(f"unknown {what} fields: {sorted(extra)}")
+        raise ConfigError(f"unknown {block} fields: {sorted(extra)}")
     return payload
 
 
@@ -180,8 +188,8 @@ def sample_size_config(master_seed: int, block: dict | None = None) -> SampleSiz
     """The bootstrap's config from a ``sample_size`` block.  A block that
     names no ``seed``, or no block at all, draws on the master seed's
     "sample-size" stream."""
-    block = {"seed": derive_seed(master_seed, "sample-size"), **(block or {})}
-    return SampleSizeConfig(**_known_fields(SampleSizeConfig, block, "sample_size"))
+    block = _known_fields(SampleSizeConfig, {} if block is None else block, "sample_size")
+    return SampleSizeConfig(**{"seed": derive_seed(master_seed, "sample-size"), **block})
 
 
 def write_json(path, payload) -> None:
@@ -531,8 +539,8 @@ def run_validate(
     p_run = run_hit_probability(log_miss, shots_s)
 
     lo, hi = delta_range
-    if lo > hi:
-        raise ConfigError("delta range must be non-empty")
+    if lo > hi or n_evt + hi < 1:
+        raise ConfigError(f"delta range [{lo}, {hi}] leaves no positive run count at n_evt={n_evt}")
     curve = []
     for delta in range(lo, hi + 1):
         runs_count = n_evt + delta
@@ -646,6 +654,8 @@ def run_sample_size(
     for ``shots_s`` in the output directory, then a fresh collection of
     ``cfg.pool_runs`` runs.
     """
+    if shots_s is not None and shots_s < 1:
+        raise ConfigError(f"shots_s must be a positive integer, got {shots_s}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ss_cfg = cfg.sample_size or sample_size_config(cfg.seed)
@@ -653,7 +663,7 @@ def run_sample_size(
         pool = _load_pool_csv(pool_path)
         pool_source = {"kind": "csv", "path": str(pool_path)}
     else:
-        shots_s = shots_s or cfg.shots_grid[0]
+        shots_s = cfg.shots_grid[0] if shots_s is None else shots_s
         existing = out / f"extremes_s{shots_s}.csv"
         if existing.exists():
             pool = _load_pool_csv(existing)

@@ -38,13 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
 from .gev import count_hits, required_runs
-from .qubo import IsingModel, QuboInstance, energy_table, ising_energy_table, to_ising
+from .qubo import IsingModel, QuboInstance, check_qubits, energy_table, ising_energy_table, to_ising
 from .seeding import derive_seed
-from .utils import check_rules, is_integer
-
-MAX_QUBITS = 24
+from .utils import INTEGER, POSITIVE_INTEGER, check_rules, is_number
 
 INITIAL_STATE_VARIANTS = ("plus", "minus")
 
@@ -65,7 +62,7 @@ class QaoaParams:
     betas: np.ndarray
 
     def __post_init__(self):
-        check_optimizer_values({"depth": self.depth_p})
+        check_rules({"depth": self.depth_p}, {"depth": POSITIVE_INTEGER}, "qaoa")
         gammas = np.array(self.gammas, dtype=np.float64)
         betas = np.array(self.betas, dtype=np.float64)
         if gammas.shape != (self.depth_p,) or betas.shape != (self.depth_p,):
@@ -97,26 +94,12 @@ class NoiseConfig:
 
     readout_flip_prob: float = 0.0
 
+    RULES = {
+        "readout_flip_prob": (lambda v: is_number(v) and 0 <= v <= 0.5, "a number in [0, 0.5]"),
+    }
+
     def __post_init__(self):
-        if not 0.0 <= self.readout_flip_prob <= 0.5:
-            raise ValueError("readout_flip_prob must lie in [0, 0.5]")
-
-
-# the optimizer's value rules per field, and the circuit depth's: the test
-# a value must pass, and the rule a refusal names
-_OPTIMIZER_RULES = {
-    "depth": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "restarts": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "maxiter": (lambda v: is_integer(v) and v >= 1, "a positive integer"),
-    "seed": (is_integer, "an integer"),
-    "initial_state": (lambda v: v in INITIAL_STATE_VARIANTS, f"one of {INITIAL_STATE_VARIANTS}"),
-}
-
-
-def check_optimizer_values(values: dict) -> None:
-    """OptimizerConfig's rules, and depth's, on the fields ``values`` holds;
-    ExperimentConfig applies them before anything runs or is written."""
-    check_rules(values, _OPTIMIZER_RULES)
+        check_rules(vars(self), self.RULES, "noise")
 
 
 @dataclass(frozen=True)
@@ -129,14 +112,16 @@ class OptimizerConfig:
     seed: int = 0
     initial_state: str = "minus"
 
+    RULES = {
+        "restarts": POSITIVE_INTEGER,
+        "maxiter": POSITIVE_INTEGER,
+        "seed": INTEGER,
+        "initial_state": (lambda v: v in INITIAL_STATE_VARIANTS,
+                          f"one of {INITIAL_STATE_VARIANTS}"),
+    }
+
     def __post_init__(self):
-        check_optimizer_values(vars(self))
-
-
-def check_qubits(n: int) -> None:
-    """Refuse, with CapacityError, a circuit wider than the statevector limit."""
-    if n > MAX_QUBITS:
-        raise CapacityError(f"n={n} exceeds the statevector limit of {MAX_QUBITS}")
+        check_rules(vars(self), self.RULES, "optimizer")
 
 
 def _num_qubits(state: np.ndarray) -> int:
@@ -158,7 +143,7 @@ def prepare_initial_state(n: int, variant: str = "minus") -> np.ndarray:
     if n < 1:
         raise ValueError("n must be at least 1")
     check_qubits(n)
-    check_optimizer_values({"initial_state": variant})
+    check_rules({"initial_state": variant}, OptimizerConfig.RULES, "qaoa")
     # the signs by doubling: bit i's upper half is the lower half times
     # sign, every entry exactly +-amp (real, so each imaginary part is +0.0)
     sign = -1.0 if variant == "minus" else 1.0
@@ -206,7 +191,7 @@ def _pair_map(x: np.ndarray, c, m) -> None:
     if rows == 1:
         return
     # bit low + h of x is bit h of a row index of the (rows, size) view; a
-    # chunk is `width` whole columns (rows <= size, as n <= MAX_QUBITS)
+    # chunk is `width` whole columns (rows <= size, as n <= qubo.MAX_QUBITS)
     width = size // rows
     columns = x.reshape(rows, size)
     high_strides = [width << h for h in range(n - low)]
@@ -321,7 +306,7 @@ def optimize_parameters(
     """
     from scipy import optimize
 
-    check_optimizer_values({"depth": depth_p})
+    check_rules({"depth": depth_p}, {"depth": POSITIVE_INTEGER}, "qaoa")
     model = to_ising(inst)
     energies = ising_energy_table(model)
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import CapacityError, InstanceFormatError
 
-MAX_EXACT_N = 24
+# the widest instance any 2^n table (energy table, statevector) is built for
+MAX_QUBITS = 24
 
 # ising_energy_table adds couplings on bits below this through a pattern over
 # these bits, so no inner loop of its broadcast adds is shorter than 2^8
@@ -166,9 +167,10 @@ def to_ising(inst: QuboInstance) -> IsingModel:
     return IsingModel(n=n, h=h, j=j, offset=float(offset))
 
 
-def _check_capacity(n: int):
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"n={n} exceeds the exact-enumeration limit of {MAX_EXACT_N}")
+def check_qubits(n: int) -> None:
+    """Refuse, with CapacityError, an instance wider than ``MAX_QUBITS``."""
+    if n > MAX_QUBITS:
+        raise CapacityError(f"n={n} exceeds the statevector limit of {MAX_QUBITS}")
 
 
 def energy_table(inst: QuboInstance) -> np.ndarray:
@@ -193,7 +195,7 @@ def ising_energy_table(model: IsingModel) -> np.ndarray:
     +-h_i or +-J_ij, in the order offset, fields, couplings: the doubles of
     ``offset + sum h_i z_i + sum J_ij z_i z_j`` summed term by term.
     """
-    _check_capacity(model.n)
+    check_qubits(model.n)
     n = model.n
     out = np.empty(1 << n, dtype=np.float64)
     out[0] = model.offset

@@ -31,12 +31,14 @@ from .errors import (
 from .gev import GevParams, fit_gev_minima, fit_gev_minima_batch, jitter
 from .seeding import derive_seed
 from .stats import (
+    MVSW_DEFAULT_REPLICATES,
     crossing_sample_size,
     fit_regression_line,
     hotelling_t2,
     mvsw_null_stats,
     shapiro_wilk_multivariate,
 )
+from .utils import INTEGER, OPEN_UNIT, POSITIVE_INTEGER, check_rules, is_integer
 
 FLAG_NEVER_CROSSED_HT2 = "never_crossed_ht2"
 FLAG_NEVER_CROSSED_MST = "never_crossed_mst"
@@ -57,19 +59,25 @@ class SampleSizeConfig:
     stride: int = 5
     level: float = 0.05
     seed: int = 0
-    mvsw_replicates: int = 1000
+    mvsw_replicates: int = MVSW_DEFAULT_REPLICATES
+
+    RULES = {
+        "n_min": (lambda v: is_integer(v) and v >= 20,
+                  "an integer of at least 20 (the GEV fit-stability floor)"),
+        "n_max": INTEGER,
+        "inner_draws": (lambda v: is_integer(v) and v > PARAM_DIM,
+                        f"an integer above the parameter dimension {PARAM_DIM}"),
+        "outer_reps": POSITIVE_INTEGER,
+        "stride": POSITIVE_INTEGER,
+        "level": OPEN_UNIT,
+        "seed": INTEGER,
+        "mvsw_replicates": POSITIVE_INTEGER,
+    }
 
     def __post_init__(self):
-        if self.n_min < 20:
-            raise ConfigError("n_min must be at least 20 (GEV fit-stability floor)")
+        check_rules(vars(self), self.RULES, "sample_size")
         if self.n_max <= self.n_min:
-            raise ConfigError("n_max must exceed n_min")
-        if self.inner_draws <= PARAM_DIM:
-            raise ConfigError(f"inner_draws must exceed the parameter dimension {PARAM_DIM}")
-        if self.outer_reps < 1 or self.stride < 1 or self.mvsw_replicates < 1:
-            raise ConfigError("outer_reps, stride and mvsw_replicates must be positive")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError("level must lie in (0, 1)")
+            raise ConfigError(f"sample_size: n_max {self.n_max} must exceed n_min {self.n_min}")
 
 
 @dataclass(frozen=True)

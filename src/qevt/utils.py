@@ -1,5 +1,5 @@
-"""JSON-safe conversion of numpy values and infinities, and the type and
-value checks that configs apply to values read from JSON."""
+"""JSON-safe conversion of numpy values and infinities, and the rule check
+that every config block applies to its values, read from JSON or not."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import math
 import numbers
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def jsonable(value):
@@ -42,10 +44,18 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_rules(values: dict, rules: dict) -> None:
+def check_rules(values: dict, rules: dict, block: str) -> None:
     """Each value's rule from ``rules`` (field -> (test, rule named on
-    refusal)); ValueError names the first field that breaks its rule."""
+    refusal)); ConfigError names ``block`` and the first field that breaks
+    its rule.  Types come before values in every test, so a config file's
+    "5" or true is refused, not compared."""
     for name, value in values.items():
         test, rule = rules[name]
         if not test(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+            raise ConfigError(f"{block}: {name} must be {rule}, got {value!r}")
+
+
+# rules that several config blocks share
+INTEGER = (is_integer, "an integer")
+POSITIVE_INTEGER = (lambda v: is_integer(v) and v >= 1, "a positive integer")
+OPEN_UNIT = (lambda v: is_number(v) and 0 < v < 1, "a number in (0, 1)")

@@ -1,0 +1,95 @@
+"""Config rules: one rule table per config block, every value checked before
+anything runs, and every refusal a ConfigError (exit 2) that writes nothing."""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qevt.annealing import SaConfig
+from qevt.cli import EXIT_CONFIG, main
+from qevt.errors import ConfigError
+from qevt.pipeline import ExperimentConfig, SyntheticSpec
+from qevt.qaoa import NoiseConfig, OptimizerConfig
+from qevt.sample_size import SampleSizeConfig
+
+CONFIG_CLASSES = (ExperimentConfig, SyntheticSpec, SampleSizeConfig, SaConfig, OptimizerConfig,
+                  NoiseConfig)
+BLOCKS = {"synthetic": SyntheticSpec, "sa": SaConfig, "sample_size": SampleSizeConfig}
+
+
+@pytest.mark.parametrize("cls", CONFIG_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_field_has_one_rule(cls):
+    # a field added without a rule would go unchecked
+    assert set(cls.RULES) == {f.name for f in fields(cls)}
+
+
+JUNK = st.one_of(
+    st.text(max_size=4),
+    st.booleans(),
+    st.floats(),
+    st.none(),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2), st.booleans()), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+    st.integers(max_value=0),
+)
+FIELD_PATHS = [f.name for f in fields(ExperimentConfig)] + [
+    f"{block}.{f.name}" for block, cls in BLOCKS.items() for f in fields(cls)
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=JUNK)
+def test_junk_in_any_field_is_a_config_or_a_config_error(path, value):
+    payload = {"synthetic": {"n": 6}, "sa": {}, "sample_size": {}}
+    block, _, name = path.rpartition(".")
+    (payload[block] if block else payload)[name] = value
+    try:
+        ExperimentConfig.from_dict(payload)
+    except ConfigError:
+        pass
+
+
+# small enough that a run which is not refused still ends in seconds
+BOOTSTRAP = {"n_max": 40, "stride": 20, "inner_draws": 8, "outer_reps": 1}
+FAST = {"synthetic": {"n": 6}, "sa": {"sweeps": 20, "restarts": 1}, "qaoa_restarts": 1,
+        "qaoa_maxiter": 5, "pool_runs": 100, "sample_size": BOOTSTRAP}
+REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
+          "noise": {"readout_flip_prob": 0.0}, "per_shots": []}
+
+
+@pytest.mark.parametrize("config, args", [
+    ({**FAST, "sample_size": {**BOOTSTRAP, "n_min": "20"}}, ["sample-size"]),
+    ({**FAST, "sample_size": {**BOOTSTRAP, "n_min": 20.5}}, ["sample-size", "--pool"]),
+    ({**FAST, "sample_size": {**BOOTSTRAP, "mvsw_replicates": 2.5}}, ["sample-size", "--pool"]),
+    ({"instance_path": 5}, ["estimate"]),
+    (FAST, ["estimate", "--y-ideal", "nan"]),
+    ({"synthetic": 6}, ["estimate"]),
+    ({"synthetic": 6}, ["estimate", "--k", "2"]),
+    ({**FAST, "sample_size": 5}, ["sample-size"]),
+    ({**FAST, "sample_size": 5}, ["sample-size", "--n-min", "30"]),
+    ([1, 2], ["estimate"]),
+    ({**FAST, "pool_runs": 0}, ["sample-size"]),
+    (FAST, ["sample-size", "--shots", "0"]),
+    (FAST, ["sample-size", "--shots", "-5"]),
+    ({"synthetic": {"n": 6}}, ["validate", "--shots", "2", "--n-evt", "1",
+                               "--delta-min", "-3", "--delta-max", "-2"]),
+])
+def test_refused_before_any_write(tmp_path, capsys, config, args):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    out.mkdir()
+    kept = []
+    if args[0] == "validate":
+        (out / "report.json").write_text(json.dumps(REPORT))
+        kept = ["report.json"]
+    if args[-1] == "--pool":
+        pool = tmp_path / "pool.csv"
+        pool.write_text("min_energy\n" + "".join(f"{-(i % 7) / 7!r}\n" for i in range(100)))
+        args = [*args, str(pool)]
+    code = main([*args, "--config", str(path), "--out-dir", str(out)])
+    assert code == EXIT_CONFIG, capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == kept
