@@ -9,8 +9,10 @@ of a nested block as ``block.field`` (``--n-min`` sets ``sample_size.n_min``,
 ``--n`` sets ``synthetic.n``).  ``_load_config`` applies each flag given.
 --instance drops the config file's ``synthetic`` block and --n/--k/
 --instance-seed its ``instance_path``; with neither, the instance is the
-file's, else the output directory's ``instance.json``.  Other flags are
-arguments of the command itself.  Exit codes are part of the contract:
+file's, else the output directory's ``instance.json``.  Only the commands
+that read an instance need one (validate and sample-size --pool read none);
+they refuse a config that names none.  Other flags are arguments of the
+command itself.  Exit codes are part of the contract:
 
     0  success
     2  configuration error
@@ -67,12 +69,16 @@ CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 class _Lock:
     """Exclusive marker file; concurrent runs on one output directory are
-    unsupported and fail fast instead of corrupting artifacts."""
+    unsupported and fail fast instead of corrupting artifacts.  An output
+    directory the lock created is removed again if the command left it
+    empty, so a refused command leaves no trace."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_NAME
+        self.created = False
 
     def __enter__(self):
+        self.created = not self.path.parent.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -87,6 +93,8 @@ class _Lock:
 
     def __exit__(self, *exc_info):
         self.path.unlink(missing_ok=True)
+        if self.created and not any(self.path.parent.iterdir()):
+            self.path.parent.rmdir()
         return False
 
 

@@ -50,6 +50,7 @@ fit.  The first fit in a process pays the import.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +227,10 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
     ``np.float_power``, the libm ``pow`` of a scalar ``xi ** 2`` (an array's
     ``** 2`` is a multiply, which differs in the last bit for about one
     value in a thousand).  Lanes outside the support take a graded penalty
-    computed lane by lane, since its sums run over the violating entries
-    only.
+    whose sums run over the violating entries only.  Their violating
+    entries are gathered once, in row order with the lanes ordered by their
+    count c of violating entries, and each count's (lanes, c) block is
+    summed row by row.
     """
     mu, sigma, xi = theta.T.copy()
     n_lanes, m = y.shape
@@ -238,19 +241,37 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
         t = 1.0 + xi[:, None] * u
         scale_bad = sigma <= 0.0
         gumbel = ~scale_bad & (np.abs(xi) < GUMBEL_XI_EPS)
-        outside = ~scale_bad & ~gumbel & (t <= _SUPPORT_EPS).any(axis=1)
+        bad = t <= _SUPPORT_EPS
+        outside = ~scale_bad & ~gumbel & bad.any(axis=1)
         regular = ~(scale_bad | gumbel | outside)
 
-        for k in np.flatnonzero(scale_bad):
-            f[k] = _PENALTY * (1.0 + abs(sigma[k]))
-            g[k] = (0.0, -_PENALTY, 0.0)
-        for k in np.flatnonzero(outside):
+        if scale_bad.any():
+            f[scale_bad] = _PENALTY * (1.0 + np.abs(sigma[scale_bad]))
+            g[scale_bad] = (0.0, -_PENALTY, 0.0)
+
+        if outside.any():
             # graded penalty whose gradient pushes the support constraint back
-            bad = t[k] <= _SUPPORT_EPS
-            u_bad = u[k][bad]
-            f[k] = _PENALTY * (1.0 + (_SUPPORT_EPS - t[k][bad]).sum())
-            ratio = xi[k] / sigma[k]
-            g[k] = _PENALTY * np.array([ratio * bad.sum(), ratio * u_bad.sum(), -u_bad.sum()])
+            lanes = np.flatnonzero(outside)
+            counts = bad[lanes].sum(axis=1)
+            order = np.argsort(counts)
+            lanes, counts = lanes[order], counts[order]
+            mask = bad[lanes]
+            viol = _SUPPORT_EPS - t[lanes][mask]
+            u_bad = u[lanes][mask]
+            viol_sum, u_sum = np.empty(lanes.size), np.empty(lanes.size)
+            # the lanes of count c hold consecutive runs of c entries, so a
+            # (lanes, c) view of them sums each lane's entries as a 1-D sum
+            first = entry = 0
+            for c, size in Counter(counts.tolist()).items():
+                end, stop = first + size, entry + size * c
+                viol[entry:stop].reshape(size, c).sum(axis=1, out=viol_sum[first:end])
+                u_bad[entry:stop].reshape(size, c).sum(axis=1, out=u_sum[first:end])
+                first, entry = end, stop
+            ratio = xi[lanes] / sigma[lanes]
+            f[lanes] = _PENALTY * (1.0 + viol_sum)
+            g[lanes, 0] = _PENALTY * (ratio * counts)
+            g[lanes, 1] = _PENALTY * (ratio * u_sum)
+            g[lanes, 2] = _PENALTY * -u_sum
 
         if gumbel.any():
             lanes = np.flatnonzero(gumbel)

@@ -104,6 +104,9 @@ class SyntheticSpec:
         return generate_synthetic_q(**asdict(self))
 
 
+_ONE_SOURCE = "exactly one of instance_path / synthetic must be set"
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     instance_path: str | None = None
@@ -142,8 +145,8 @@ class ExperimentConfig:
     }
 
     def __post_init__(self):
-        if (self.instance_path is None) == (self.synthetic is None):
-            raise ConfigError("exactly one of instance_path / synthetic must be set")
+        if self.instance_path is not None and self.synthetic is not None:
+            raise ConfigError(_ONE_SOURCE)
         check_rules(vars(self), self.RULES, "config")
         if len(set(self.shots_grid)) < len(self.shots_grid):
             raise ConfigError(f"shots_grid repeats a setting: {list(self.shots_grid)}")
@@ -219,6 +222,11 @@ def _provenance(cfg: ExperimentConfig, seeds: dict) -> dict:
 
 
 def resolve_instance(cfg: ExperimentConfig) -> tuple[QuboInstance, dict]:
+    """The instance ``cfg`` names and its description; a config that names
+    none is refused here, since only the commands that read an instance
+    need one."""
+    if cfg.instance_path is None and cfg.synthetic is None:
+        raise ConfigError(_ONE_SOURCE)
     if cfg.instance_path is not None:
         inst = load_instance(cfg.instance_path)
         return inst, {"source": "file", "path": cfg.instance_path, "n": inst.n, "k": inst.k}

@@ -24,12 +24,14 @@ from qevt.cli import (
     build_parser,
     main,
 )
+from qevt.errors import ConfigError
 from qevt.pipeline import (
     ExperimentConfig,
     SyntheticSpec,
     answer_minima,
     ensure_stage_artifacts,
     meets_baseline,
+    resolve_instance,
     run_estimate,
     run_sample_size,
     run_validate,
@@ -458,6 +460,16 @@ class TestValidateCommand:
         assert from_cli == json.loads(json.dumps(direct))
         assert min(point["ratio"] for point in from_cli["curve"]) < 1.0
 
+    def test_report_without_instance_json(self, estimate_dir, tmp_path):
+        # validate reads the report alone, so no instance source is needed
+        out, cfg, _ = estimate_dir
+        (tmp_path / "report.json").write_bytes((out / "report.json").read_bytes())
+        code = main(["validate", "--shots", "100", "--trials", "50", "--seed", str(cfg.seed),
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "validate_s100_a95.json").exists()
+        assert not (tmp_path / "instance.json").exists()
+
     def test_point_does_not_move_with_the_range(self, estimate_dir):
         # each offset draws on the seed of its own delta, so rerunning a
         # narrower range redraws the same numbers at the offsets it shares
@@ -607,6 +619,16 @@ class TestSampleSizeCommand:
         assert (tmp_path / "sample_size.svg").exists()
         assert (tmp_path / "sample_size.csv").exists()
 
+    def test_pool_needs_no_instance_source(self, tmp_path, pool_csv):
+        out = tmp_path / "out"
+        code = main([
+            "sample-size", "--pool", str(pool_csv), "--n-max", "40", "--stride", "20",
+            "--inner-draws", "8", "--outer-reps", "1", "--out-dir", str(out),
+        ])
+        assert code == EXIT_OK
+        assert (out / "sample_size.json").exists()
+        assert not (out / "instance.json").exists()
+
     def test_pool_smaller_than_n_max_rejected(self, tmp_path, pool_csv, capsys):
         code = main([
             "sample-size", "--pool", str(pool_csv), "--n", "10",
@@ -751,11 +773,20 @@ class TestConfigFile:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    def test_requires_exactly_one_instance_source(self):
-        with pytest.raises(Exception):
+    def test_allows_at_most_one_instance_source(self):
+        # a config may name no instance: validate and sample-size --pool read none
+        with pytest.raises(ConfigError, match="exactly one of instance_path / synthetic"):
             ExperimentConfig(instance_path="x.json", synthetic=SyntheticSpec(n=5))
-        with pytest.raises(Exception):
-            ExperimentConfig()
+        with pytest.raises(ConfigError, match="exactly one of instance_path / synthetic"):
+            resolve_instance(ExperimentConfig())
+
+    def test_estimate_without_instance_source_writes_nothing(self, tmp_path, capsys):
+        # refused after the lock is taken: the directory the lock made goes too
+        out = tmp_path / "out"
+        code = main(["estimate", "--shots", "20", "--runs", "30", "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        assert "exactly one of instance_path / synthetic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = fast_config(shots_grid=(100,), runs=30)

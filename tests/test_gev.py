@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy import stats as sps
 
@@ -458,3 +460,70 @@ class TestBatchFitMatchesScipy:
                 value, grad = scalar_nll_and_grad(theta[k], y[k])
             assert values[k] == value
             assert np.array_equal(grads[k], grad)
+
+
+def looped_penalties(theta: np.ndarray, y: np.ndarray) -> dict:
+    """The support penalties one lane per loop iteration, as the lanes first
+    computed them: {lane: (value, gradient)} for every lane with sigma <= 0
+    or, off the Gumbel branch, some t <= _SUPPORT_EPS."""
+    mu, sigma, xi = theta.T.copy()
+    out = {}
+    with np.errstate(all="ignore"):
+        u = (y - mu[:, None]) / sigma[:, None]
+        t = 1.0 + xi[:, None] * u
+        for k in range(theta.shape[0]):
+            if sigma[k] <= 0.0:
+                out[k] = (_PENALTY * (1.0 + abs(sigma[k])), np.array([0.0, -_PENALTY, 0.0]))
+                continue
+            bad = t[k] <= _SUPPORT_EPS
+            if abs(xi[k]) < GUMBEL_XI_EPS or not bad.any():
+                continue
+            u_bad = u[k][bad]
+            ratio = xi[k] / sigma[k]
+            out[k] = (
+                _PENALTY * (1.0 + (_SUPPORT_EPS - t[k][bad]).sum()),
+                _PENALTY * np.array([ratio * bad.sum(), ratio * u_bad.sum(), -u_bad.sum()]),
+            )
+    return out
+
+
+LANE_KINDS = ("regular", "gumbel", "scale_bad", "outside")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kinds=st.lists(st.sampled_from(LANE_KINDS), min_size=1, max_size=24),
+    m=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_penalties_match_the_per_lane_loop(kinds, m, seed):
+    # outside lanes of many violation counts (pairwise sums from c = 8 and
+    # c = 128 on) share one call with every other kind of lane
+    rng = np.random.default_rng(seed)
+    y = rng.gumbel(size=(len(kinds), m))
+    theta = np.empty((len(kinds), 3))
+    for k, kind in enumerate(kinds):
+        sigma = rng.uniform(0.2, 2.0)
+        if kind == "regular":
+            theta[k] = (rng.normal(), sigma, rng.uniform(-0.2, 0.5))
+        elif kind == "gumbel":
+            theta[k] = (rng.normal(), sigma, rng.uniform(-0.5, 0.5) * GUMBEL_XI_EPS)
+        elif kind == "scale_bad":
+            theta[k] = (rng.normal(), -rng.uniform(0.0, 2.0), rng.normal())
+        else:
+            # xi < 0 puts every y above mu - sigma / xi outside; a random
+            # order statistic as that endpoint sets the violation count
+            xi = -rng.uniform(0.1, 5.0)
+            endpoint = np.sort(y[k])[rng.integers(0, m)]
+            theta[k] = (endpoint + sigma / xi, sigma, xi)
+    values, grads = _nll_and_grad_lanes(theta, y)
+    want_f, want_g = np.empty_like(values), np.empty_like(grads)
+    for k in range(len(kinds)):
+        # lanes without a penalty: the one-lane evaluation
+        want_f[k:k + 1], want_g[k:k + 1] = _nll_and_grad_lanes(theta[k:k + 1], y[k:k + 1])
+    penalties = looped_penalties(theta, y)
+    for k, (f, g) in penalties.items():
+        want_f[k], want_g[k] = f, g
+    assert set(penalties) >= {k for k, kind in enumerate(kinds) if kind in ("scale_bad", "outside")}
+    assert np.array_equal(values, want_f, equal_nan=True)
+    assert np.array_equal(grads, want_g, equal_nan=True)

@@ -6,7 +6,9 @@ from scipy import stats as sps
 
 from qevt.errors import InsufficientSamplesError, SingularCovarianceError
 from qevt.stats import (
+    MVSW_BLOCK,
     Crossing,
+    _mvsw_statistics,
     _shapiro_w,
     _standardize,
     crossing_sample_size,
@@ -163,6 +165,46 @@ class TestShapiroKernel:
             want.append(np.mean([sps.shapiro(z[:, j]).statistic for j in range(3)]))
         want.sort()
         assert np.array_equal(mvsw_null_stats(30, 3, 1000, seed), np.array(want))
+
+
+def looped_statistic(x: np.ndarray) -> float:
+    """The MVSW statistic of one sample as first written: ``np.cov``, ``eigh``
+    and ``np.diag`` whitening, W by ``sps.shapiro`` per column."""
+    m, d = x.shape
+    cov = np.cov(x, rowvar=False, ddof=1).reshape(d, d)
+    vals, vecs = np.linalg.eigh(cov)
+    if vals[0] <= 1e-12 * max(vals[-1], 1.0):
+        raise SingularCovarianceError("singular")
+    z = (x - x.mean(axis=0)) @ (vecs @ np.diag(1.0 / np.sqrt(vals)) @ vecs.T)
+    return np.mean([sps.shapiro(z[:, j]).statistic for j in range(d)])
+
+
+class TestBlockedNullTable:
+    """The stacked table is the per-replicate loop's, double for double."""
+
+    @pytest.mark.parametrize("m", [20, 25, 41])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_the_per_replicate_loop(self, m, d):
+        # a last block of 5 replicates, shorter than the others
+        seed, n_replicates = 100 * m + d, 2 * MVSW_BLOCK + 5
+        rng = np.random.default_rng(seed)
+        want = np.sort([looped_statistic(rng.standard_normal((m, d)))
+                        for _ in range(n_replicates)])
+        assert np.array_equal(mvsw_null_stats(m, d, n_replicates, seed), want)
+
+    def test_observed_statistic_matches_the_loop(self):
+        rng = np.random.default_rng(8)
+        for m in (5, 20, 41):
+            x = rng.standard_normal((m, 3)) * [1e-3, 1.0, 50.0] + [3.0, -1.0, 0.0]
+            assert shapiro_wilk_multivariate(x).statistic == looped_statistic(x)
+
+    def test_a_singular_matrix_in_a_block_raises(self):
+        x = np.random.default_rng(4).standard_normal((MVSW_BLOCK, 20, 3))
+        k = MVSW_BLOCK - 5
+        x[k, :, 2] = 2.0 * x[k, :, 0]
+        with pytest.raises(SingularCovarianceError):
+            _mvsw_statistics(x)
+        assert _mvsw_statistics(np.delete(x, k, axis=0)).shape == (MVSW_BLOCK - 1,)
 
 
 class TestRegression:
