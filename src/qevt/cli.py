@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -69,9 +70,10 @@ CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
 
 class _Lock:
     """Exclusive marker file; concurrent runs on one output directory are
-    unsupported and fail fast instead of corrupting artifacts.  An output
-    directory the lock created is removed again if the command left it
-    empty, so a refused command leaves no trace."""
+    unsupported and fail fast instead of corrupting artifacts.  If the lock
+    created the output directory, it removes that directory again when the
+    command left it empty; a failed removal never hides the command's own
+    result."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / LOCK_NAME
@@ -93,8 +95,9 @@ class _Lock:
 
     def __exit__(self, *exc_info):
         self.path.unlink(missing_ok=True)
-        if self.created and not any(self.path.parent.iterdir()):
-            self.path.parent.rmdir()
+        if self.created:
+            with suppress(OSError):  # not empty, or already gone
+                self.path.parent.rmdir()
         return False
 
 

@@ -357,17 +357,8 @@ def measured_distribution(state: np.ndarray, flip_prob: float) -> np.ndarray:
     Independent per-bit flips act on the distribution as one 2x2 stochastic
     map per bit, applied in place by the mixer's pair kernel: O(n 2^n).
     """
-    n = _num_qubits(state)  # refuses a length that is not a power of two
-    size = 1 << min(n, _BLOCK_QUBITS)
-    # |x|^2 as conj(x) * x, one cache-sized block at a time into the real
-    # output; re^2 + im^2 would round differently from numpy's complex product
-    probs = np.empty(state.size)
-    product = np.empty(size, state.dtype)
-    for start in range(0, state.size, size):
-        block = state[start:start + size]
-        np.conjugate(block, out=product)
-        product *= block
-        probs[start:start + size] = product.real
+    _num_qubits(state)  # refuses a length that is not a power of two
+    probs = (state.conj() * state).real.copy()
     if flip_prob != 0.0:
         _pair_map(probs, 1.0 - flip_prob, flip_prob)
     return probs

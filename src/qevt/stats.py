@@ -11,9 +11,10 @@ sample-size decision.
 The MVSW statistic is computed for a stack of samples at once: one mean,
 one covariance ``matmul``, one stacked ``eigh`` and the whitening
 ``matmul``s per stack, then one ``swilk`` call per column.  The null table
-runs in stacks of MVSW_BLOCK datasets and an observed sample is a stack of
-one, so both take one path, and every statistic is the double the 2-D
-``np.cov``/``eigh``/``np.diag`` computation of one sample gives.
+runs in stacks of MVSW_BLOCK datasets and an observed sample goes through
+the same functions as a single (m, d) matrix, so both take one path, and
+every statistic is the double the 2-D ``np.cov``/``eigh``/``np.diag``
+computation of one sample gives.
 
 ``scipy.stats`` is imported inside the functions that call it, not
 at module level: importing it costs more than most commands take to run,
@@ -87,8 +88,8 @@ def hotelling_t2(samples, mu0) -> TestResult:
     return TestResult(statistic=t2, p_value=p, method=METHOD_HOTELLING)
 
 
-def _whiten(x: np.ndarray) -> np.ndarray:
-    """Center and whiten each (m, d) matrix of the stack ``x`` (r, m, d) by the
+def _standardize(x: np.ndarray) -> np.ndarray:
+    """Center and whiten each (m, d) matrix of ``x`` (..., m, d) by the
     inverse symmetric square root of its covariance.
 
     Each matrix gets the doubles of the 2-D computation (``np.cov``, ``eigh``,
@@ -97,55 +98,46 @@ def _whiten(x: np.ndarray) -> np.ndarray:
     and ``eigh`` runs the 2-D call's kernel on each matrix.  A singular
     covariance anywhere in the stack raises, naming the first.
     """
-    r, m, d = x.shape
-    xc = x - x.mean(axis=1, keepdims=True)
-    cov = np.matmul(xc.transpose(0, 2, 1), xc) * np.true_divide(1, m - 1)
+    m, d = x.shape[-2:]
+    xc = x - x.mean(axis=-2, keepdims=True)
+    cov = np.matmul(xc.swapaxes(-1, -2), xc) * np.true_divide(1, m - 1)
     vals, vecs = np.linalg.eigh(cov)
-    smallest = vals[:, 0]
-    singular = smallest <= 1e-12 * np.maximum(vals[:, -1], 1.0)
+    smallest = vals[..., 0]
+    singular = smallest <= 1e-12 * np.maximum(vals[..., -1], 1.0)
     if singular.any():
         raise SingularCovarianceError(
             f"sample covariance is singular (smallest eigenvalue {smallest[singular][0]:.3e})"
         )
-    diag = np.zeros((r, d, d))
-    diag[:, np.arange(d), np.arange(d)] = 1.0 / np.sqrt(vals)
-    inv_half = np.matmul(np.matmul(vecs, diag), vecs.transpose(0, 2, 1))
+    diag = np.zeros(vals.shape + (d,))
+    diag[..., np.arange(d), np.arange(d)] = 1.0 / np.sqrt(vals)
+    inv_half = np.matmul(np.matmul(vecs, diag), vecs.swapaxes(-1, -2))
     return np.matmul(xc, inv_half)
 
 
-def _standardize(x: np.ndarray) -> np.ndarray:
-    """Center and whiten one (m, d) sample: :func:`_whiten` of a stack of one."""
-    return _whiten(x[None])[0]
-
-
-def _shapiro_w(x: np.ndarray) -> float:
-    """``scipy.stats.shapiro(x).statistic``, bit for bit, without its wrapper.
+def _shapiro_w(x: np.ndarray) -> np.ndarray:
+    """``scipy.stats.shapiro(row).statistic`` of each row of ``x`` (..., m),
+    bit for bit, without its wrapper.
 
     The same preprocessing as ``scipy.stats.shapiro`` (sort, subtract
-    ``x[N // 2]`` of the unsorted data, zeroed coefficients, ``init=0``)
-    handed to the same ``swilk`` kernel; the axis and NaN handling around it
-    costs more than the statistic on the short columns tested here.
+    ``row[m // 2]`` of the unsorted row, zeroed coefficients, ``init=0``)
+    handed to the same ``swilk`` kernel, one call per row; the axis and NaN
+    handling around it costs more than the statistic on the short rows
+    tested here.
     """
     from scipy.stats._ansari_swilk_statistics import swilk
 
-    y = np.sort(x)
-    y -= x[x.size // 2]
-    w, _, _ = swilk(y, np.zeros(x.size // 2), 0)
-    return w
+    m = x.shape[-1]
+    rows = np.ascontiguousarray(x).reshape(-1, m)
+    y = np.sort(rows, axis=1)
+    y -= rows[:, m // 2, None]
+    w = [swilk(row, np.zeros(m // 2), 0)[0] for row in y]
+    return np.reshape(w, x.shape[:-1])
 
 
 def _mvsw_statistics(x: np.ndarray) -> np.ndarray:
-    """The MVSW statistic of each (m, d) matrix of the stack ``x``: the mean
-    :func:`_shapiro_w` of its whitened columns, one ``swilk`` call per column."""
-    from scipy.stats._ansari_swilk_statistics import swilk
-
-    r, m, d = x.shape
-    cols = np.ascontiguousarray(_whiten(x).transpose(0, 2, 1))
-    middle = cols[:, :, m // 2, None].copy()
-    cols.sort(axis=2)
-    cols -= middle
-    w = np.array([swilk(y, np.zeros(m // 2), 0)[0] for y in cols.reshape(r * d, m)])
-    return w.reshape(r, d).mean(axis=1)
+    """The MVSW statistic of each (m, d) matrix of ``x`` (..., m, d): the
+    mean :func:`_shapiro_w` of its standardized columns."""
+    return _shapiro_w(_standardize(x).swapaxes(-1, -2)).mean(axis=-1)
 
 
 @lru_cache(maxsize=16)
@@ -186,7 +178,7 @@ def shapiro_wilk_multivariate(
         raise ValueError(f"need dimension d >= 2, got d={d}")
     if m <= d:
         raise InsufficientSamplesError(f"need more samples than dimensions: m={m}, d={d}")
-    stat = float(_mvsw_statistics(x[None])[0])
+    stat = float(_mvsw_statistics(x))
     if null_stats is None:
         null_stats = mvsw_null_stats(m, d, n_replicates, seed)
     p = float(np.searchsorted(null_stats, stat, side="right") / null_stats.size)

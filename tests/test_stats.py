@@ -150,6 +150,9 @@ class TestShapiroKernel:
         ]
         for x in draws:
             assert _shapiro_w(x) == sps.shapiro(x).statistic
+        # a stack of rows, as the null table calls it
+        want = [sps.shapiro(x).statistic for x in draws]
+        assert np.array_equal(_shapiro_w(np.array(draws)), want)
 
     def test_strided_column_matches_scipy_bitwise(self):
         z = _standardize(np.random.default_rng(2).standard_normal((30, 3)))
