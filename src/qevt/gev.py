@@ -31,15 +31,17 @@ Fitting is maximum likelihood by bounded L-BFGS-B from several shape
 starts.  :func:`fit_gev_minima_batch` runs every (sample, start) pair as
 one lane with its own state of scipy's L-BFGS-B kernel (``setulb``); the
 lanes advance in lockstep and each round evaluates the likelihood once,
-vectorised over every lane that asked.  The driver around the kernel is
-``scipy.optimize.minimize``'s, step for step (same memory, tolerances,
-line-search and iteration limits, one evaluation at the start, none
-repeated at an unchanged point), and the vectorised likelihood gives each
-lane the doubles of a one-lane evaluation, so a batch returns exactly what
-fitting each sample alone through ``minimize`` returns.  That bit-exactness
-is the point: with xi < -1 the likelihood is unbounded and the fits move
-far under last-bit changes, so a different optimizer would move every
-bootstrap triple.  :func:`fit_gev_minima` is a batch of one.
+vectorised over every lane that asked.  The kernel gets the arguments
+``scipy.optimize.minimize`` gives it (same memory, tolerances, line-search
+and iteration limits), and the driver around it keeps only what can change
+a fit: it answers each request with an evaluation, where scipy's answers a
+repeated point from memory, and sets no evaluation budget, which scipy's
+never reaches.  The vectorised likelihood gives each lane the doubles of a
+one-lane evaluation, so a batch returns exactly what fitting each sample
+alone through ``minimize`` returns.  That bit-exactness is the point: with
+xi < -1 the likelihood is unbounded and the fits move far under last-bit
+changes, so a different optimizer would move every bootstrap triple.
+:func:`fit_gev_minima` is a batch of one.
 
 scipy is imported inside the functions that call its kernel, not at module
 level: ``scipy.optimize`` takes longer to import than most commands take to
@@ -226,11 +228,11 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
     a whole-row sum (the pairwise sum of a 1-D array), and ``xi`` squared is
     ``np.float_power``, the libm ``pow`` of a scalar ``xi ** 2`` (an array's
     ``** 2`` is a multiply, which differs in the last bit for about one
-    value in a thousand).  Lanes outside the support take a graded penalty
-    whose sums run over the violating entries only.  Their violating
-    entries are gathered once, in row order with the lanes ordered by their
-    count c of violating entries, and each count's (lanes, c) block is
-    summed row by row.
+    value in a thousand).  sigma must be positive, as the fit's bounds keep
+    it.  Lanes outside the support take a graded penalty whose sums run over
+    the violating entries only.  Their violating entries are gathered once,
+    in row order with the lanes ordered by their count c of violating
+    entries, and each count's (lanes, c) block is summed row by row.
     """
     mu, sigma, xi = theta.T.copy()
     n_lanes, m = y.shape
@@ -239,15 +241,10 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = (y - mu[:, None]) / sigma[:, None]
         t = 1.0 + xi[:, None] * u
-        scale_bad = sigma <= 0.0
-        gumbel = ~scale_bad & (np.abs(xi) < GUMBEL_XI_EPS)
+        gumbel = np.abs(xi) < GUMBEL_XI_EPS
         bad = t <= _SUPPORT_EPS
-        outside = ~scale_bad & ~gumbel & bad.any(axis=1)
-        regular = ~(scale_bad | gumbel | outside)
-
-        if scale_bad.any():
-            f[scale_bad] = _PENALTY * (1.0 + np.abs(sigma[scale_bad]))
-            g[scale_bad] = (0.0, -_PENALTY, 0.0)
+        outside = ~gumbel & bad.any(axis=1)
+        regular = ~(gumbel | outside)
 
         if outside.any():
             # graded penalty whose gradient pushes the support constraint back
@@ -316,8 +313,6 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
 
 def _support_ok(theta: np.ndarray, y: np.ndarray) -> bool:
     mu, sigma, xi = theta
-    if sigma <= 0.0:
-        return False
     if abs(xi) < GUMBEL_XI_EPS:
         return True
     return bool(np.all(1.0 + xi * (y - mu) / sigma > 0.0))
@@ -328,26 +323,23 @@ _LBFGSB_MAXCOR = 10
 _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
-_LBFGSB_MAXFUN = 15000
 FIT_MAXITER = 200
 
 # L-BFGS-B task codes (task[0] states, task[1] stop reasons)
 _TASK_NEW_X, _TASK_FG, _TASK_STOP = 1, 3, 5
-_STOP_MAXFUN, _STOP_MAXITER = 502, 504
+_STOP_MAXITER = 504
 
 # setulb's bound kind per parameter: mu none, sigma lower only, xi both
 _BOUND_KINDS = np.array([0, 1, 2], dtype=np.int32)
 
 
 class _Lane:
-    """One L-BFGS-B run: scipy's ``setulb`` state plus the bookkeeping of
-    ``scipy.optimize._lbfgsb_py._minimize_lbfgsb`` and its memoizing
-    objective wrapper (the point last evaluated, its value and gradient)."""
+    """One L-BFGS-B run: scipy's ``setulb`` state and its iteration count."""
 
     __slots__ = ("x", "lower", "upper", "f", "g", "wa", "iwa", "task", "ln_task",
-                 "lsave", "isave", "dsave", "nit", "nfev", "x_eval", "f_eval", "g_eval")
+                 "lsave", "isave", "dsave", "nit")
 
-    def __init__(self, x, lower, upper, f_eval, g_eval):
+    def __init__(self, x, lower, upper):
         n, m = x.size, _LBFGSB_MAXCOR
         self.x, self.lower, self.upper = x, lower, upper
         self.f = 0.0
@@ -360,17 +352,12 @@ class _Lane:
         self.isave = np.zeros(44, dtype=np.int32)
         self.dsave = np.zeros(29)
         self.nit = 0
-        self.nfev = 1
-        # the point as a list: list equality is np.array_equal's on three
-        # floats (NaN never equal, -0.0 == 0.0) at a tenth of the cost
-        self.x_eval, self.f_eval, self.g_eval = x.tolist(), f_eval, g_eval
 
     def advance(self, setulb) -> bool:
-        """Step until the lane wants f and g at a new point (True) or stops.
+        """Step until the lane wants f and g at ``x`` (True) or stops (False).
 
-        A request at the point last evaluated is answered from memory, and
-        each new iterate counts toward FIT_MAXITER and the evaluation budget,
-        exactly as scipy's driver does.
+        Each new iterate counts toward FIT_MAXITER, as scipy's driver counts
+        it; the FIT_MAXITER-th stops the lane.
         """
         while True:
             setulb(_LBFGSB_MAXCOR, self.x, self.lower, self.upper, _BOUND_KINDS, self.f, self.g,
@@ -378,24 +365,12 @@ class _Lane:
                    self.isave, self.dsave, _LBFGSB_MAXLS, self.ln_task)
             state = self.task[0]
             if state == _TASK_FG:
-                if self.x.tolist() != self.x_eval:
-                    return True
-                self.f = self.f_eval
-                self.g[:] = self.g_eval
-            elif state == _TASK_NEW_X:
-                self.nit += 1
-                if self.nit >= FIT_MAXITER:
-                    self.task[:] = (_TASK_STOP, _STOP_MAXITER)
-                elif self.nfev > _LBFGSB_MAXFUN:
-                    self.task[:] = (_TASK_STOP, _STOP_MAXFUN)
-            else:
+                return True
+            if state != _TASK_NEW_X:
                 return False
-
-    def take(self, f_eval, g_eval) -> None:
-        self.nfev += 1
-        self.x_eval, self.f_eval, self.g_eval = self.x.tolist(), f_eval, g_eval
-        self.f = f_eval
-        self.g[:] = g_eval
+            self.nit += 1
+            if self.nit >= FIT_MAXITER:
+                self.task[:] = (_TASK_STOP, _STOP_MAXITER)
 
     def message(self) -> str:
         from scipy.optimize import _lbfgsb_py as lbfgsb
@@ -414,6 +389,18 @@ def _minimize_lanes(x0: np.ndarray, y: np.ndarray) -> list:
     jac=True, method="L-BFGS-B", bounds=..., options={"maxiter":
     FIT_MAXITER})`` step for step and ends at the same ``x`` with the same
     ``fun`` (the value last evaluated).  Returns the lanes.
+
+    Of scipy's driver only what can change a fit is kept.  ``setulb``'s
+    START call reads no f or g, so the first round evaluates every start,
+    which scipy does once up front.  A request at the point last evaluated
+    is evaluated again, where scipy answers from memory; the likelihood
+    gives a lane the same doubles in any batch.  No evaluation budget: an
+    iteration runs at most two line searches (the second after a memory
+    reset) of at most _LBFGSB_MAXLS requests, so a lane makes at most
+    1 + FIT_MAXITER * 2 * _LBFGSB_MAXLS = 8001, and scipy's 15000 never
+    binds.  Every trial point lies inside the bounds, and a finite sample's
+    sigma0 is positive (zero spread is refused before a lane starts), so
+    sigma stays positive.
     """
     from scipy.optimize._lbfgsb import setulb
 
@@ -423,14 +410,14 @@ def _minimize_lanes(x0: np.ndarray, y: np.ndarray) -> list:
     # setulb reads 0 for an absent bound, as scipy passes it
     lower[:, 0] = 0.0
     upper = np.array([0.0, 0.0, XI_MAX])
-    f0, g0 = _nll_and_grad_lanes(x, y)
-    lanes = [_Lane(x[k], lower[k], upper, f0[k], g0[k]) for k in range(n_lanes)]
+    lanes = [_Lane(x[k], lower[k], upper) for k in range(n_lanes)]
     waiting = [k for k, lane in enumerate(lanes) if lane.advance(setulb)]
     while waiting:
         idx = np.array(waiting)
         f, g = _nll_and_grad_lanes(x[idx], y[idx])
         for j, k in enumerate(waiting):
-            lanes[k].take(f[j], g[j])
+            lanes[k].f = f[j]
+            lanes[k].g[:] = g[j]
         waiting = [k for k in waiting if lanes[k].advance(setulb)]
     return lanes
 

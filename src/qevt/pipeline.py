@@ -135,7 +135,7 @@ class ExperimentConfig:
         "initial_state": OptimizerConfig.RULES["initial_state"],
         "readout_flip_prob": NoiseConfig.RULES["readout_flip_prob"],
         "shots_grid": (_each(POSITIVE_INTEGER[0]), "non-empty positive integers"),
-        "runs": POSITIVE_INTEGER,
+        "runs": SampleSizeConfig.RULES["n_min"],
         "alphas": (_each(OPEN_UNIT[0]), "non-empty numbers in (0, 1)"),
         "sample_size": (lambda v: v is None or isinstance(v, SampleSizeConfig), "a block or null"),
         "pool_runs": POSITIVE_INTEGER,
@@ -519,12 +519,13 @@ def run_validate(
     that the best of ``runs`` runs meets the baseline: the same formula at
     ``runs * shots_s`` shots.
     """
+    check_rules({"shots_s": shots_s, "alpha": alpha, "trials": trials},
+                {"shots_s": POSITIVE_INTEGER, "alpha": OPEN_UNIT, "trials": POSITIVE_INTEGER},
+                "validate")
     out = Path(out_dir)
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no estimate report at {report_path}; run the estimate command first")
-    if trials < 1:
-        raise ConfigError("trials must be positive")
     report = read_json(report_path)
     missing = [key for key in ("log_miss_per_shot", "initial_state") if key not in report]
     if missing:
@@ -644,10 +645,14 @@ def _load_pool_csv(path) -> np.ndarray:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "min_energy" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a CSV with a min_energy column")
-        values = [float(row["min_energy"]) for row in reader]
-    if not values:
+        values = np.array([float(row["min_energy"]) for row in reader])
+    if not values.size:
         raise ConfigError(f"{path}: pool CSV is empty")
-    return np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ConfigError(f"{path}: data row {bad[0] + 1} has min_energy {values[bad[0]]}, "
+                          "which is not finite")
+    return values
 
 
 def run_sample_size(

@@ -28,7 +28,7 @@ from .errors import (
     InsufficientSamplesError,
     SingularCovarianceError,
 )
-from .gev import GevParams, fit_gev_minima, fit_gev_minima_batch, jitter
+from .gev import MIN_FIT_SAMPLES, GevParams, fit_gev_minima, fit_gev_minima_batch, jitter
 from .seeding import derive_seed
 from .stats import (
     MVSW_DEFAULT_REPLICATES,
@@ -62,8 +62,8 @@ class SampleSizeConfig:
     mvsw_replicates: int = MVSW_DEFAULT_REPLICATES
 
     RULES = {
-        "n_min": (lambda v: is_integer(v) and v >= 20,
-                  "an integer of at least 20 (the GEV fit-stability floor)"),
+        "n_min": (lambda v: is_integer(v) and v >= MIN_FIT_SAMPLES,
+                  f"an integer of at least {MIN_FIT_SAMPLES} (the GEV fit-stability floor)"),
         "n_max": INTEGER,
         "inner_draws": (lambda v: is_integer(v) and v > PARAM_DIM,
                         f"an integer above the parameter dimension {PARAM_DIM}"),

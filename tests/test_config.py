@@ -76,6 +76,12 @@ REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
     (FAST, ["sample-size", "--shots", "-5"]),
     ({"synthetic": {"n": 6}}, ["validate", "--shots", "2", "--n-evt", "1",
                                "--delta-min", "-3", "--delta-max", "-2"]),
+    ({"synthetic": {"n": 6}}, ["validate", "--shots", "-5", "--n-evt", "10", "--alpha", "1.5",
+                               "--trials", "5", "--delta-min", "0", "--delta-max", "0"]),
+    ({"synthetic": {"n": 6}}, ["validate", "--shots", "2", "--n-evt", "10", "--alpha", "1.5"]),
+    (FAST, ["estimate", "--shots", "20", "--runs", "5"]),
+    (FAST, ["sample-size", "--pool", "nan"]),
+    (FAST, ["sample-size", "--pool", "inf"]),
 ])
 def test_refused_before_any_write(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"
@@ -86,10 +92,14 @@ def test_refused_before_any_write(tmp_path, capsys, config, args):
     if args[0] == "validate":
         (out / "report.json").write_text(json.dumps(REPORT))
         kept = ["report.json"]
-    if args[-1] == "--pool":
+    if "--pool" in args:
+        # a value after --pool takes the place of row 50 of the pool file
+        at = args.index("--pool") + 1
+        rows = [repr(-(i % 7) / 7) for i in range(100)]
+        rows[50:50 + len(args[at:])] = args[at:]
         pool = tmp_path / "pool.csv"
-        pool.write_text("min_energy\n" + "".join(f"{-(i % 7) / 7!r}\n" for i in range(100)))
-        args = [*args, str(pool)]
+        pool.write_text("min_energy\n" + "".join(f"{row}\n" for row in rows))
+        args = [*args[:at], str(pool)]
     code = main([*args, "--config", str(path), "--out-dir", str(out)])
     assert code == EXIT_CONFIG, capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == kept
