@@ -38,6 +38,7 @@ from .qaoa import (
     QaoaParams,
     circuit_law,
     collect_extreme_samples,
+    extreme_run_seeds,
     optimize_parameters,
     run_hit_probability,
     run_minima_batch,
@@ -205,6 +206,19 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _read_stage_file(path: Path, *keys) -> dict:
+    """The JSON object of a stage file, refused with ConfigError naming the
+    file and the field when it is no object or lacks one of ``keys``."""
+    payload = read_json(path)
+    missing = [key for key in keys if not isinstance(payload, dict) or key not in payload]
+    if missing:
+        raise ConfigError(
+            f"{path} records no {' or '.join(missing)}; rerun the command that writes it "
+            "in a fresh output directory"
+        )
+    return payload
+
+
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -303,9 +317,10 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     The instance is the one ``cfg`` names, built once.  The stage files in
     ``out_dir`` are reused, ``baseline.json`` for the SA baseline and
     ``qaoa_params.json`` for the angles; a missing one is computed on that
-    instance and written.  An ``instance.json`` of another instance, or a
+    instance and written.  An ``instance.json`` of another instance, a
     ``baseline.json`` whose bitstring does not score its recorded energy on
-    this one, is refused with ConfigError before anything runs or is written,
+    this one, and a ``baseline.json`` or ``qaoa_params.json`` that lacks a
+    field are refused with ConfigError before anything runs or is written,
     and so is an instance wider than the circuit simulator takes
     (CapacityError).  ``y_ideal`` is ``cfg.y_ideal_override`` when set.
     ``law`` is the circuit's :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout
@@ -316,12 +331,17 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     check_qubits(inst.n)
     _check_stage_instance(inst, out)
     baseline_path = out / "baseline.json"
-    baseline = read_json(baseline_path) if baseline_path.exists() else None
+    baseline = _read_stage_file(baseline_path, "x", "energy") if baseline_path.exists() else None
     if baseline is not None and not _baseline_of(inst, baseline):
         raise ConfigError(
             f"{baseline_path} holds the baseline of another instance than the config "
             "names; use a fresh output directory"
         )
+    params_path = out / "qaoa_params.json"
+    params = (
+        QaoaParams.from_dict(_read_stage_file(params_path, "depth_p", "gammas", "betas"))
+        if params_path.exists() else None
+    )
     inst_path = out / "instance.json"
     if not inst_path.exists():
         out.mkdir(parents=True, exist_ok=True)
@@ -334,10 +354,7 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     if cfg.y_ideal_override is not None:
         y_ideal = float(cfg.y_ideal_override)
 
-    params_path = out / "qaoa_params.json"
-    if params_path.exists():
-        params = QaoaParams.from_dict(read_json(params_path))
-    else:
+    if params is None:
         optimizer = OptimizerConfig(restarts=cfg.qaoa_restarts, maxiter=cfg.qaoa_maxiter,
                                     seed=derive_seed(cfg.seed, "qaoa-opt"),
                                     initial_state=cfg.initial_state)
@@ -442,8 +459,8 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
             out / entry["extremes_csv"],
             ["run_index", "seed", "min_energy", "shots_s"],
             [
-                (r, derive_seed(seed, "extreme-run", r), repr(float(e)), shots_s)
-                for r, e in enumerate(minima)
+                (r, run_seed, repr(float(e)), shots_s)
+                for r, (run_seed, e) in enumerate(zip(extreme_run_seeds(seed, minima.size), minima))
             ],
         )
         if "gev" in entry:
@@ -512,8 +529,9 @@ def run_validate(
     when its uniform lies below ``p_run_exact``, the hit probability of
     shots_s shots.  :meth:`~qevt.qaoa.RunMinimumLaw.draw` would give the
     same hits from the same uniforms, so no circuit is rebuilt.  A report
-    without the field is refused with ConfigError.  The provenance hashes
-    ``cfg`` with the report's noise and initial state in place of its own.
+    without that field, or another one read here, is refused with
+    ConfigError.  The provenance hashes ``cfg`` with the report's noise and
+    initial state in place of its own.
 
     Next to each ratio the payload gives ``exact_ratio``, the probability
     that the best of ``runs`` runs meets the baseline: the same formula at
@@ -526,13 +544,8 @@ def run_validate(
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no estimate report at {report_path}; run the estimate command first")
-    report = read_json(report_path)
-    missing = [key for key in ("log_miss_per_shot", "initial_state") if key not in report]
-    if missing:
-        raise ConfigError(
-            f"{report_path} records no {' or '.join(missing)}; rerun the estimate command "
-            "in a fresh output directory"
-        )
+    report = _read_stage_file(report_path, "log_miss_per_shot", "initial_state", "y_ideal",
+                              "noise")
     log_miss = float(report["log_miss_per_shot"])
     y_ideal = float(report["y_ideal"])
     if n_evt is None:
@@ -596,8 +609,7 @@ def run_validate(
 
 def run_shot_sweep(cfg: ExperimentConfig, out_dir, reps: int = 20) -> dict:
     """Average per-run minimum across ``cfg.shots_grid``, against the SA baseline."""
-    if reps < 1:
-        raise ConfigError("reps must be positive")
+    check_rules({"reps": reps}, {"reps": POSITIVE_INTEGER}, "shot-sweep")
     out = Path(out_dir)
     inst, _, y_ideal, _, law = ensure_stage_artifacts(cfg, out)
 
@@ -640,18 +652,28 @@ def run_shot_sweep(cfg: ExperimentConfig, out_dir, reps: int = 20) -> dict:
     return payload
 
 
+def _pool_value(path, row: int, cell) -> float:
+    """Data row ``row``'s ``min_energy`` cell as a finite float; a missing,
+    non-numeric or non-finite cell is refused with ConfigError."""
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):  # None when the row is short
+        value = math.nan
+    if not math.isfinite(value):
+        found = "no min_energy" if cell is None else f"min_energy {cell!r}"
+        raise ConfigError(f"{path}: data row {row} has {found}; each row needs a finite one")
+    return value
+
+
 def _load_pool_csv(path) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "min_energy" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected a CSV with a min_energy column")
-        values = np.array([float(row["min_energy"]) for row in reader])
+        values = np.array([_pool_value(path, row, cells["min_energy"])
+                           for row, cells in enumerate(reader, 1)])
     if not values.size:
         raise ConfigError(f"{path}: pool CSV is empty")
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ConfigError(f"{path}: data row {bad[0] + 1} has min_energy {values[bad[0]]}, "
-                          "which is not finite")
     return values
 
 
@@ -664,11 +686,11 @@ def run_sample_size(
     """Sample-size procedure on an extreme-value pool.
 
     Pool resolution order: explicit CSV path, then an existing extremes CSV
-    for ``shots_s`` in the output directory, then a fresh collection of
-    ``cfg.pool_runs`` runs.
+    for ``shots_s`` (by default the first of ``cfg.shots_grid``) in the output
+    directory, then a fresh collection of ``cfg.pool_runs`` runs.
     """
-    if shots_s is not None and shots_s < 1:
-        raise ConfigError(f"shots_s must be a positive integer, got {shots_s}")
+    shots_s = cfg.shots_grid[0] if shots_s is None else shots_s
+    check_rules({"shots_s": shots_s}, {"shots_s": POSITIVE_INTEGER}, "sample-size")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ss_cfg = cfg.sample_size or sample_size_config(cfg.seed)
@@ -676,7 +698,6 @@ def run_sample_size(
         pool = _load_pool_csv(pool_path)
         pool_source = {"kind": "csv", "path": str(pool_path)}
     else:
-        shots_s = cfg.shots_grid[0] if shots_s is None else shots_s
         existing = out / f"extremes_s{shots_s}.csv"
         if existing.exists():
             pool = _load_pool_csv(existing)

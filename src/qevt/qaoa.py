@@ -465,6 +465,12 @@ def sample_shots(
     return law.draw(1, np.random.default_rng(seed).random(shots_s))
 
 
+def extreme_run_seeds(seed: int, runs: int) -> list[int]:
+    """The recorded seed of each of ``runs`` runs that
+    :func:`collect_extreme_samples` draws on ``seed``, in run order."""
+    return [derive_seed(seed, "extreme-run", r) for r in range(runs)]
+
+
 def collect_extreme_samples(
     inst: QuboInstance,
     law: RunMinimumLaw,
@@ -476,7 +482,7 @@ def collect_extreme_samples(
     of ``inst``, drawn from its law (:func:`circuit_law`).
 
     Run r is the law inverted at the first double of
-    ``default_rng(derive_seed(seed, "extreme-run", r))``, so each run
+    ``default_rng(extreme_run_seeds(seed, runs)[r])``, so each run
     reproduces alone from that seed.
     """
     if runs < 1 or shots_s < 1:
@@ -484,7 +490,7 @@ def collect_extreme_samples(
     if law.levels.size != 1 << inst.n:
         raise ValueError("law and instance dimensions disagree")
     uniforms = np.array(
-        [np.random.default_rng(derive_seed(seed, "extreme-run", r)).random() for r in range(runs)]
+        [np.random.default_rng(run_seed).random() for run_seed in extreme_run_seeds(seed, runs)]
     )
     return law.draw(shots_s, uniforms)
 

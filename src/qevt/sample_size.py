@@ -9,14 +9,18 @@ lines through the per-n average p-values locate the smallest n where both
 tests clear the significance level; since the mean test presupposes
 normality, the final estimate is whichever crossing is larger.
 
-All refits of one n run as one :func:`~qevt.gev.fit_gev_minima_batch`:
-every draw keeps its own draw and jitter seeds, and the batch reproduces
-each lone fit bit for bit, so the triples, their order and the failure
-counts are those of fitting the draws one by one.
+Each n takes one pass: draw and jitter every resample, refit them all as one
+:func:`~qevt.gev.fit_gev_minima_batch`, count the failures, and score each
+cell of triples.  Every draw keeps its own draw and jitter seeds, and the
+batch reproduces each lone fit bit for bit, so the triples, their order and
+the failure counts are those of fitting the draws one by one.  A cell's
+normality test names only the seed of its null table; :mod:`qevt.stats`
+builds and keeps the tables.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +39,6 @@ from .stats import (
     crossing_sample_size,
     fit_regression_line,
     hotelling_t2,
-    mvsw_null_stats,
     shapiro_wilk_multivariate,
 )
 from .utils import INTEGER, OPEN_UNIT, POSITIVE_INTEGER, check_rules, is_integer
@@ -130,6 +133,23 @@ def reference_parameters(y_sim, seed: int = 0) -> GevParams:
     return fit_gev_minima(jitter(y, derive_seed(seed, "reference-jitter")))
 
 
+def _cell_p_values(triples: list, theta_ref: np.ndarray, cfg: SampleSizeConfig):
+    """``(p_ht2, p_mst)`` of one cell's parameter triples, or None when the
+    cell holds at most PARAM_DIM triples or they collapse.  The seed of a
+    full cell's null table names no size; a short cell's names its size."""
+    m = len(triples)
+    if m <= PARAM_DIM:
+        return None
+    table_seed = derive_seed(cfg.seed, "mvsw-null", *([m] if m < cfg.inner_draws else []))
+    try:
+        p_ht2 = hotelling_t2(triples, theta_ref).p_value
+        p_mst = shapiro_wilk_multivariate(triples, cfg.mvsw_replicates, table_seed).p_value
+    except (DegenerateSamplesError, InsufficientSamplesError, SingularCovarianceError):
+        # collapsed estimates: the cell yields no p-values
+        return None
+    return p_ht2, p_mst
+
+
 def estimate_required_extremes(
     y_sim, cfg: SampleSizeConfig, theta_sim: GevParams
 ) -> SampleSizeResult:
@@ -148,9 +168,6 @@ def estimate_required_extremes(
             "discrete values, and the normality test degenerates"
         )
     theta_ref = np.array([theta_sim.mu, theta_sim.sigma, theta_sim.xi])
-    null_table = mvsw_null_stats(
-        cfg.inner_draws, PARAM_DIM, cfg.mvsw_replicates, derive_seed(cfg.seed, "mvsw-null")
-    )
 
     ns = list(range(cfg.n_min, cfg.n_max + 1, cfg.stride))
     per_n: list[PerNRecord] = []
@@ -158,55 +175,32 @@ def estimate_required_extremes(
     flags = set()
 
     for n in ns:
-        p_ht2_cells: list[float] = []
-        p_mst_cells: list[float] = []
-        failed = 0
-        # every draw of this n is jittered here and refitted in one batch;
-        # each draw keeps its own seeds, so batching does not change a triple
+        # draw: every resample of this n, jittered on its own seeds; one that
+        # jitter refuses is left out, and counted below as a failed fit
         jittered, owners = [], []
         for j in range(cfg.outer_reps):
             for i in range(cfg.inner_draws):
                 rng = np.random.default_rng(derive_seed(cfg.seed, "draw", n, j, i))
                 subset = y[rng.integers(0, y.size, size=n)]
-                try:
+                with suppress(DegenerateSamplesError):
                     jittered.append(jitter(subset, derive_seed(cfg.seed, "jitter", n, j, i)))
-                except DegenerateSamplesError:
-                    failed += 1
-                    continue
-                owners.append(j)
+                    owners.append(j)
+        # fit: one batch, which gives each draw the triple a lone fit would
         triples_by_rep: list[list] = [[] for _ in range(cfg.outer_reps)]
         for j, fitted in zip(owners, fit_gev_minima_batch(jittered)):
-            if not isinstance(fitted, GevParams):
-                failed += 1
-                continue
-            triples_by_rep[j].append([fitted.mu, fitted.sigma, fitted.xi])
-        for triples in triples_by_rep:
-            if len(triples) <= PARAM_DIM:
-                continue
-            arr = np.asarray(triples)
-            try:
-                p_ht2 = hotelling_t2(arr, theta_ref).p_value
-                table = (
-                    null_table
-                    if arr.shape[0] == cfg.inner_draws
-                    else mvsw_null_stats(
-                        arr.shape[0],
-                        PARAM_DIM,
-                        cfg.mvsw_replicates,
-                        derive_seed(cfg.seed, "mvsw-null", arr.shape[0]),
-                    )
-                )
-                p_mst = shapiro_wilk_multivariate(arr, null_stats=table).p_value
-            except (DegenerateSamplesError, InsufficientSamplesError, SingularCovarianceError):
-                # collapsed estimates: the cell yields no p-values
-                continue
-            p_ht2_cells.append(p_ht2)
-            p_mst_cells.append(p_mst)
+            if isinstance(fitted, GevParams):
+                triples_by_rep[j].append([fitted.mu, fitted.sigma, fitted.xi])
+        # count: every attempted draw that left no triple failed
         attempted = cfg.outer_reps * cfg.inner_draws
+        failed = attempted - sum(map(len, triples_by_rep))
         fit_failures[n] = (failed, attempted)
         if failed > MAX_FAILED_FIT_FRACTION * attempted:
             flags.add(FLAG_DEGENERATE_RESAMPLES)
-        if p_ht2_cells:
+        # score: the mean p-values of the cells that yield them
+        cells = [_cell_p_values(triples, theta_ref, cfg) for triples in triples_by_rep]
+        p_values = [p for p in cells if p is not None]
+        if p_values:
+            p_ht2_cells, p_mst_cells = zip(*p_values)
             per_n.append(
                 PerNRecord(
                     n=n,

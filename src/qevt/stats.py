@@ -16,6 +16,9 @@ the same functions as a single (m, d) matrix, so both take one path, and
 every statistic is the double the 2-D ``np.cov``/``eigh``/``np.diag``
 computation of one sample gives.
 
+The null tables live here alone: each test looks its table up in
+:func:`mvsw_null_stats`, so a caller names only the table's seed.
+
 ``scipy.stats`` is imported inside the functions that call it, not
 at module level: importing it costs more than most commands take to run,
 and only the sample-size procedure calls them.
@@ -37,15 +40,11 @@ MVSW_DEFAULT_REPLICATES = 1000
 # (88 KiB), and a stack of 100 (254 KiB) saves under a millisecond per table
 MVSW_BLOCK = 32
 
-METHOD_HOTELLING = "hotelling_t2"
-METHOD_SW_MULTI = "shapiro_wilk_multi"
-
 
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
     p_value: float
-    method: str
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -85,7 +84,7 @@ def hotelling_t2(samples, mu0) -> TestResult:
     from scipy.stats import f
 
     p = float(f.sf(f_stat, d, m - d))
-    return TestResult(statistic=t2, p_value=p, method=METHOD_HOTELLING)
+    return TestResult(statistic=t2, p_value=p)
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
@@ -160,17 +159,16 @@ def mvsw_null_stats(m: int, d: int, n_replicates: int, seed: int) -> np.ndarray:
 
 
 def shapiro_wilk_multivariate(
-    samples,
-    n_replicates: int = MVSW_DEFAULT_REPLICATES,
-    seed: int = 0,
-    null_stats: np.ndarray | None = None,
+    samples, n_replicates: int = MVSW_DEFAULT_REPLICATES, seed: int = 0
 ) -> TestResult:
     """Multivariate normality test: average univariate W over the
     Mahalanobis-standardized coordinates.
 
     The p-value is the fraction of Monte Carlo null statistics (same m and d,
-    standard multivariate normal) at or below the observed statistic; pass a
-    precomputed ``null_stats`` table to amortize calibration across calls.
+    standard multivariate normal) at or below the observed statistic.  The
+    null table is :func:`mvsw_null_stats` of (m, d, ``n_replicates``,
+    ``seed``), built on the first test of that shape and seed and reused by
+    every later one.
     """
     x = _as_matrix(samples)
     m, d = x.shape
@@ -179,10 +177,9 @@ def shapiro_wilk_multivariate(
     if m <= d:
         raise InsufficientSamplesError(f"need more samples than dimensions: m={m}, d={d}")
     stat = float(_mvsw_statistics(x))
-    if null_stats is None:
-        null_stats = mvsw_null_stats(m, d, n_replicates, seed)
+    null_stats = mvsw_null_stats(m, d, n_replicates, seed)
     p = float(np.searchsorted(null_stats, stat, side="right") / null_stats.size)
-    return TestResult(statistic=stat, p_value=p, method=METHOD_SW_MULTI)
+    return TestResult(statistic=stat, p_value=p)
 
 
 def fit_regression_line(xs, ys) -> tuple[float, float]:

@@ -2,7 +2,10 @@
 anything runs, and every refusal a ConfigError (exit 2) that writes nothing."""
 
 import json
+import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from qevt.annealing import SaConfig
 from qevt.cli import EXIT_CONFIG, main
 from qevt.errors import ConfigError
-from qevt.pipeline import ExperimentConfig, SyntheticSpec
+from qevt.pipeline import ExperimentConfig, SyntheticSpec, run_sample_size, write_csv
 from qevt.qaoa import NoiseConfig, OptimizerConfig
 from qevt.sample_size import SampleSizeConfig
 
@@ -82,24 +85,77 @@ REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
     (FAST, ["estimate", "--shots", "20", "--runs", "5"]),
     (FAST, ["sample-size", "--pool", "nan"]),
     (FAST, ["sample-size", "--pool", "inf"]),
+    (FAST, ["shot-sweep", "--reps", "0"]),
+    (FAST, ["sample-size", "--pool", "abc"]),
+    (FAST, ["sample-size", "--pool", "run_index,min_energy", "1"]),
+    (FAST, [{"qaoa_params.json": {}},
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30"]),
+    (FAST, [{"baseline.json": {"energy": 1.0}},
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30"]),
+    ({"synthetic": {"n": 6}}, [{"report.json": {k: v for k, v in REPORT.items() if k != "y_ideal"}},
+                               "validate", "--shots", "2", "--n-evt", "5"]),
 ])
 def test_refused_before_any_write(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     out.mkdir()
-    kept = []
-    if args[0] == "validate":
-        (out / "report.json").write_text(json.dumps(REPORT))
-        kept = ["report.json"]
+    # a dict before the command holds the stage files found in the output
+    # directory; validate finds a good report unless the case names one
+    own_files = isinstance(args[0], dict)
+    staged = {"report.json": REPORT} if args[0] == "validate" else {}
+    if own_files:
+        staged, *args = args
+    for name, payload in staged.items():
+        (out / name).write_text(json.dumps(payload))
+    # what the refusal names: a malformed stage file, or the pool's bad row
+    named = [str(out / name) for name in staged] if own_files else []
     if "--pool" in args:
-        # a value after --pool takes the place of row 50 of the pool file
+        # 100 good rows under the header min_energy; the last value after
+        # --pool takes the place of row 50, and a value before it replaces
+        # the header, with a run index before each good row's energy
         at = args.index("--pool") + 1
-        rows = [repr(-(i % 7) / 7) for i in range(100)]
-        rows[50:50 + len(args[at:])] = args[at:]
+        values = args[at:]
         pool = tmp_path / "pool.csv"
-        pool.write_text("min_energy\n" + "".join(f"{row}\n" for row in rows))
+        header = values[0] if len(values) == 2 else "min_energy"
+        rows = [repr(-(i % 7) / 7) for i in range(100)]
+        if len(values) == 2:
+            rows = [f"{i},{row}" for i, row in enumerate(rows)]
+        if values:
+            rows[50] = values[-1]
+            named.append(f"{pool}: data row 51 ")
+        pool.write_text(f"{header}\n" + "".join(f"{row}\n" for row in rows))
         args = [*args[:at], str(pool)]
     code = main([*args, "--config", str(path), "--out-dir", str(out)])
-    assert code == EXIT_CONFIG, capsys.readouterr().err
-    assert sorted(p.name for p in out.iterdir()) == kept
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert sorted(p.name for p in out.iterdir()) == sorted(staged)
+    assert all(part in err for part in named), err
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+NOT_A_FINITE_NUMBER = st.one_of(
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", ""]),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=6).filter(
+        lambda text: not _finite_number(text)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell=NOT_A_FINITE_NUMBER, row=st.integers(0, 9))
+def test_pool_cell_that_is_no_finite_number_is_refused_with_its_file_and_row(cell, row):
+    cells = [repr(-i / 10) for i in range(10)]
+    cells[row] = cell
+    with tempfile.TemporaryDirectory() as tmp:
+        pool = Path(tmp) / "pool.csv"
+        write_csv(pool, ["run_index", "min_energy"], enumerate(cells))
+        with pytest.raises(ConfigError) as refusal:
+            run_sample_size(ExperimentConfig.from_dict(FAST), Path(tmp) / "out", pool_path=pool)
+    assert f"{pool}: data row {row + 1} has min_energy {cell!r}" in str(refusal.value)

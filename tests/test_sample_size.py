@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from qevt import stats
 from qevt.errors import ConfigError, DegenerateSamplesError, EstimationImpossibleError
 from qevt.sample_size import (
     FLAG_DEGENERATE_RESAMPLES,
@@ -134,3 +135,32 @@ class TestEstimate:
                 rising += 1
         print(f"hotelling slope non-negative in {rising}/{runs} runs")
         assert rising >= 0.8 * runs
+
+
+ATOM_LEVELS = np.array([-12.0, -11.0, -10.5, -9.0, -7.5])
+
+
+@pytest.mark.parametrize("probs, size, cfg, min_sizes", [
+    # the pool and config of SAMPLE_SIZE_SHA256 (tests/test_artifact_bytes.py)
+    ([0.88, 0.06, 0.03, 0.02, 0.01], 200,
+     SampleSizeConfig(n_min=20, n_max=60, stride=20, inner_draws=10, outer_reps=2, seed=5,
+                      mvsw_replicates=200), 2),
+    # 97% on one level: the cells take more sizes than the table cache holds
+    ([0.97, 0.0075, 0.0075, 0.0075, 0.0075], 300,
+     SampleSizeConfig(n_min=20, n_max=80, stride=10, inner_draws=30, outer_reps=8, seed=5,
+                      mvsw_replicates=50), 17),
+])
+def test_each_null_table_is_built_once(monkeypatch, probs, size, cfg, min_sizes):
+    pool = np.random.default_rng(5).choice(ATOM_LEVELS, size=size, p=probs)
+    tables = stats.mvsw_null_stats
+    sizes = set()
+
+    def lookup(m, d, n_replicates, seed):
+        sizes.add(m)
+        return tables(m, d, n_replicates, seed)
+
+    monkeypatch.setattr(stats, "mvsw_null_stats", lookup)
+    tables.cache_clear()
+    estimate_required_extremes(pool, cfg, reference_parameters(pool, cfg.seed))
+    assert len(sizes) >= min_sizes
+    assert tables.cache_info().misses == len(sizes)
