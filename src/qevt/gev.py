@@ -41,7 +41,11 @@ one-lane evaluation, so a batch returns exactly what fitting each sample
 alone through ``minimize`` returns.  That bit-exactness is the point: with
 xi < -1 the likelihood is unbounded and the fits move far under last-bit
 changes, so a different optimizer would move every bootstrap triple.
-:func:`fit_gev_minima` is a batch of one.
+The program fits through the batch: the estimate's answer step
+(``qevt.pipeline.answer_minima``) fits every draw it is given in one call,
+and the sample-size procedure fits each subset size's refits in one call.
+:func:`fit_gev_minima` is a batch of one, for a lone sample such as the
+sample-size reference fit.
 
 scipy is imported inside the functions that call its kernel, not at module
 level: ``scipy.optimize`` takes longer to import than most commands take to

@@ -26,7 +26,7 @@ from .gev import (
     GevParams,
     count_hits,
     estimate_runs,
-    fit_gev_minima,
+    fit_gev_minima_batch,
     gev_nll,
     gev_pdf,
     jitter,
@@ -72,6 +72,7 @@ STATUS_UNREACHABLE = "unreachable"
 BREAKDOWN_DEGENERATE = "degenerate_samples"
 
 _NUMBER = (is_number, "a number")
+_FINITE = (lambda v: is_number(v) and math.isfinite(v), "a finite number")
 
 
 def _each(test):
@@ -140,8 +141,7 @@ class ExperimentConfig:
         "alphas": (_each(OPEN_UNIT[0]), "non-empty numbers in (0, 1)"),
         "sample_size": (lambda v: v is None or isinstance(v, SampleSizeConfig), "a block or null"),
         "pool_runs": POSITIVE_INTEGER,
-        "y_ideal_override": (lambda v: v is None or is_number(v) and math.isfinite(v),
-                             "a finite number or null"),
+        "y_ideal_override": (lambda v: v is None or _FINITE[0](v), "a finite number or null"),
         "seed": INTEGER,
     }
 
@@ -206,17 +206,38 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _read_stage_file(path: Path, *keys) -> dict:
+def _read_stage_file(path: Path, rules: dict) -> dict:
     """The JSON object of a stage file, refused with ConfigError naming the
-    file and the field when it is no object or lacks one of ``keys``."""
+    file and the field when it is no object, lacks a field of ``rules`` or
+    holds one that breaks its rule."""
     payload = read_json(path)
-    missing = [key for key in keys if not isinstance(payload, dict) or key not in payload]
+    missing = [key for key in rules if not isinstance(payload, dict) or key not in payload]
     if missing:
         raise ConfigError(
             f"{path} records no {' or '.join(missing)}; rerun the command that writes it "
             "in a fresh output directory"
         )
+    check_rules({key: payload[key] for key in rules}, rules, str(path))
     return payload
+
+
+# the fields each stage file is read for, one rule each
+_ANGLES = (_each(_FINITE[0]), "a non-empty list of finite numbers")
+_BASELINE_FIELDS = {
+    "x": (_each(lambda b: is_integer(b) and b in (0, 1)), "a non-empty list of 0/1 bits"),
+    "energy": _FINITE,
+}
+_PARAMS_FIELDS = {"depth_p": POSITIVE_INTEGER, "gammas": _ANGLES, "betas": _ANGLES}
+_REPORT_FIELDS = {
+    # jsonable writes a log_miss of -inf, every level meeting the baseline, as "-inf"
+    "log_miss_per_shot": (lambda v: v == "-inf" or is_number(v) and v <= 0,
+                          'a number <= 0 or "-inf"'),
+    "initial_state": OptimizerConfig.RULES["initial_state"],
+    "y_ideal": _FINITE,
+    "noise": (lambda v: isinstance(v, dict)
+              and NoiseConfig.RULES["readout_flip_prob"][0](v.get("readout_flip_prob")),
+              "an object with a readout_flip_prob in [0, 0.5]"),
+}
 
 
 def write_csv(path, header, rows) -> None:
@@ -320,18 +341,19 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
     instance and written.  An ``instance.json`` of another instance, a
     ``baseline.json`` whose bitstring does not score its recorded energy on
     this one, and a ``baseline.json`` or ``qaoa_params.json`` that lacks a
-    field are refused with ConfigError before anything runs or is written,
-    and so is an instance wider than the circuit simulator takes
-    (CapacityError).  ``y_ideal`` is ``cfg.y_ideal_override`` when set.
-    ``law`` is the circuit's :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout
-    noise, built once for all of the command's draws.
+    field or holds one that breaks its rule are refused with ConfigError
+    before anything runs or is written, and so is an instance wider than the
+    circuit simulator takes (CapacityError).  ``y_ideal`` is
+    ``cfg.y_ideal_override`` when set.  ``law`` is the circuit's
+    :class:`~qevt.qaoa.RunMinimumLaw` under ``cfg``'s readout noise, built
+    once for all of the command's draws.
     """
     out = Path(out_dir)
     inst, desc = resolve_instance(cfg)
     check_qubits(inst.n)
     _check_stage_instance(inst, out)
     baseline_path = out / "baseline.json"
-    baseline = _read_stage_file(baseline_path, "x", "energy") if baseline_path.exists() else None
+    baseline = _read_stage_file(baseline_path, _BASELINE_FIELDS) if baseline_path.exists() else None
     if baseline is not None and not _baseline_of(inst, baseline):
         raise ConfigError(
             f"{baseline_path} holds the baseline of another instance than the config "
@@ -339,7 +361,7 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
         )
     params_path = out / "qaoa_params.json"
     params = (
-        QaoaParams.from_dict(_read_stage_file(params_path, "depth_p", "gammas", "betas"))
+        QaoaParams.from_dict(_read_stage_file(params_path, _PARAMS_FIELDS))
         if params_path.exists() else None
     )
     inst_path = out / "instance.json"
@@ -386,27 +408,29 @@ def _gev_density_svg(minima: np.ndarray, entry: dict) -> str:
     )
 
 
-def answer_minima(minima_by_s: dict, y_ideal: float, alphas, jitter_seeds: dict) -> list[dict]:
-    """One report entry per shots setting ``s``, from its run minima alone; no I/O.
+def answer_minima(draws, y_ideal: float, alphas) -> list[dict]:
+    """One report entry per draw ``(shots_s, minima, jitter_seed)``, in order; no I/O.
 
-    ``hits`` counts the runs in ``minima_by_s[s]`` that meet the baseline.
-    The minima, jittered on ``jitter_seeds[s]``, get a GEV fit (``gev``) and
-    one :func:`qevt.gev.estimate_runs` per alpha, whose ``route`` is
-    ``hit_rate`` (success probability hits / runs, the mass of the atom at
-    y_ideal) when any run met the baseline and ``gev`` (the fitted tail at
-    y_ideal) when none did.  All-equal minima cannot be fitted; their entry
-    holds ``breakdown`` and ``detail`` instead.
+    ``hits`` counts the runs that meet the baseline.  All draws' minima,
+    jittered on their ``jitter_seed``, are fitted in one batch (``gev``)
+    and get one :func:`qevt.gev.estimate_runs` per alpha, whose ``route`` is
+    ``hit_rate`` (hits / runs, the mass of the atom at y_ideal) when any run
+    met the baseline and ``gev`` (the fitted tail) when none did.  All-equal
+    minima cannot be fitted; their entry holds ``breakdown`` and ``detail``
+    instead.  Any other failed fit raises, the first in draw order.
     """
-    entries = []
-    for shots_s, minima in minima_by_s.items():
+    entries, jittered = [], []
+    for shots_s, minima, jitter_seed in draws:
         entry = {"shots_s": shots_s, "hits": count_hits(minima, y_ideal)}
         entries.append(entry)
         try:
-            smoothed = jitter(minima, jitter_seeds[shots_s])
-            fitted = fit_gev_minima(smoothed)
+            jittered.append((entry, shots_s, minima, jitter(minima, jitter_seed)))
         except DegenerateSamplesError as exc:
             entry.update(breakdown=BREAKDOWN_DEGENERATE, detail=str(exc))
-            continue
+    fits = fit_gev_minima_batch([smoothed for *_, smoothed in jittered])
+    for (entry, shots_s, minima, smoothed), fitted in zip(jittered, fits):
+        if isinstance(fitted, Exception):
+            raise fitted
         entry["gev"] = {
             **asdict(fitted),
             "nll": gev_nll(fitted, -smoothed.values),
@@ -423,10 +447,10 @@ def answer_minima(minima_by_s: dict, y_ideal: float, alphas, jitter_seeds: dict)
 def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     """Full estimation pipeline; returns the report (also written to disk).
 
-    Collects every shots setting's run minima, each on its own seed, before
-    any fit; :func:`answer_minima` answers them; then ``extremes_s*.csv``,
-    ``fit_s*.json``, ``gev_s*.svg`` and ``report.json`` are written from its
-    entries, so a fit that raises leaves none of them.
+    Collects every shots setting's run minima, each on its own seed, as one
+    list of draws before any fit; :func:`answer_minima` answers them; then
+    ``extremes_s*.csv``, ``fit_s*.json``, ``gev_s*.svg`` and ``report.json``
+    are written from its entries, so a fit that raises leaves none of them.
 
     Next to each answer the report gives the circuit law's exact values:
     ``p_run_exact`` per shots setting and ``n_exact`` per estimate.  It also
@@ -441,19 +465,17 @@ def run_estimate(cfg: ExperimentConfig, out_dir) -> dict:
     inst, desc, y_ideal, params, law = ensure_stage_artifacts(cfg, out)
 
     extremes_seeds = {s: derive_seed(cfg.seed, "extremes", s) for s in cfg.shots_grid}
-    minima_by_s = {
-        s: collect_extreme_samples(inst, law, s, cfg.runs, seed)
+    draws = [
+        (s, collect_extreme_samples(inst, law, s, cfg.runs, seed),
+         derive_seed(cfg.seed, "jitter", s))
         for s, seed in extremes_seeds.items()
-    }
-    jitter_seeds = {s: derive_seed(cfg.seed, "jitter", s) for s in cfg.shots_grid}
-    entries = answer_minima(minima_by_s, y_ideal, cfg.alphas, jitter_seeds)
+    ]
+    entries = answer_minima(draws, y_ideal, cfg.alphas)
 
-    for entry in entries:
-        shots_s = entry["shots_s"]
+    for entry, (shots_s, minima, _), seed in zip(entries, draws, extremes_seeds.values()):
         entry["p_run_exact"] = law.p_run(y_ideal, shots_s)
         for est in entry.get("estimates", ()):
             est["n_exact"] = law.n_exact(y_ideal, shots_s, est["alpha"])
-        minima, seed = minima_by_s[shots_s], extremes_seeds[shots_s]
         entry["extremes_csv"] = f"extremes_s{shots_s}.csv"
         write_csv(
             out / entry["extremes_csv"],
@@ -537,15 +559,15 @@ def run_validate(
     that the best of ``runs`` runs meets the baseline: the same formula at
     ``runs * shots_s`` shots.
     """
-    check_rules({"shots_s": shots_s, "alpha": alpha, "trials": trials},
-                {"shots_s": POSITIVE_INTEGER, "alpha": OPEN_UNIT, "trials": POSITIVE_INTEGER},
+    check_rules({"shots_s": shots_s, "alpha": alpha, "trials": trials, "n_evt": n_evt},
+                {"shots_s": POSITIVE_INTEGER, "alpha": OPEN_UNIT, "trials": POSITIVE_INTEGER,
+                 "n_evt": (lambda v: v is None or POSITIVE_INTEGER[0](v), "a positive integer")},
                 "validate")
     out = Path(out_dir)
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no estimate report at {report_path}; run the estimate command first")
-    report = _read_stage_file(report_path, "log_miss_per_shot", "initial_state", "y_ideal",
-                              "noise")
+    report = _read_stage_file(report_path, _REPORT_FIELDS)
     log_miss = float(report["log_miss_per_shot"])
     y_ideal = float(report["y_ideal"])
     if n_evt is None:

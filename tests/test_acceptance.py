@@ -62,7 +62,7 @@ def estimate_n_evt(n, inst_seed, shots_s, alpha, noise_p=0.0, runs=200, master_s
         seed=derive_seed(master_seed, "extremes", inst_seed, shots_s, int(noise_p * 1000)),
     )
     jitter_seed = derive_seed(master_seed, "jitter", inst_seed, shots_s)
-    (entry,) = answer_minima({shots_s: minima}, y_ideal, (alpha,), {shots_s: jitter_seed})
+    (entry,) = answer_minima([(shots_s, minima, jitter_seed)], y_ideal, (alpha,))
     return entry["estimates"][0]["n_evt"]
 
 

@@ -176,12 +176,12 @@ class TestEstimatePipeline:
         # that extremes_s*.csv records, with the jitter seeds of fit_s*.json
         out, cfg, _ = estimate_dir
         report = json.loads((out / "report.json").read_text())
-        minima_by_s, jitter_seeds = {}, {}
+        draws = []
         for s in cfg.shots_grid:
             with open(out / f"extremes_s{s}.csv", newline="") as fh:
-                minima_by_s[s] = np.array([float(row["min_energy"]) for row in csv.DictReader(fh)])
-            jitter_seeds[s] = json.loads((out / f"fit_s{s}.json").read_text())["seed"]
-        entries = answer_minima(minima_by_s, report["y_ideal"], cfg.alphas, jitter_seeds)
+                minima = np.array([float(row["min_energy"]) for row in csv.DictReader(fh)])
+            draws.append((s, minima, json.loads((out / f"fit_s{s}.json").read_text())["seed"]))
+        entries = answer_minima(draws, report["y_ideal"], cfg.alphas)
         # the circuit law's exact fields are run_estimate's, not the answer's
         recorded = [
             {k: v for k, v in entry.items() if k not in ("extremes_csv", "svg", "p_run_exact")}
@@ -212,12 +212,38 @@ class TestEstimatePipeline:
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr("builtins.open", forbidden)
         monkeypatch.setattr(io, "open", forbidden)
-        minima = {20: -(np.arange(40.0) % 7), 50: np.full(40, -3.0)}
-        entries = answer_minima(minima, -6.0, (0.9, 0.95), {20: 1, 50: 2})
+        draws = [(20, -(np.arange(40.0) % 7), 1), (50, np.full(40, -3.0), 2)]
+        entries = answer_minima(draws, -6.0, (0.9, 0.95))
         assert [sorted(entry) for entry in entries] == [
             ["estimates", "gev", "hits", "shots_s"], ["breakdown", "detail", "hits", "shots_s"],
         ]
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_batch_answers_like_lone_calls(self, monkeypatch):
+        # one batched fit gives each draw the entry a call on that draw alone
+        # gives, in draw order: the fit lanes give every lane the doubles of
+        # a lone fit
+        batch_sizes = []
+        fit_batch = qevt.pipeline.fit_gev_minima_batch
+
+        def counted(samples_list):
+            batch_sizes.append(len(samples_list))
+            return fit_batch(samples_list)
+
+        monkeypatch.setattr(qevt.pipeline, "fit_gev_minima_batch", counted)
+        # fittable with hits, all equal, fittable without hits (and of another size)
+        draws = [(20, -(np.arange(40.0) % 7), 1), (50, np.full(40, -3.0), 2),
+                 (100, -(np.arange(60.0) % 5), 3)]
+        batched = answer_minima(draws, -6.0, (0.9, 0.95))
+        lone = [answer_minima([draw], -6.0, (0.9, 0.95))[0] for draw in draws]
+        assert jsonable(batched) == jsonable(lone)
+        assert [entry["shots_s"] for entry in batched] == [20, 50, 100]
+        assert [est["route"] for est in batched[0]["estimates"] + batched[2]["estimates"]] == [
+            "hit_rate", "hit_rate", "gev", "gev",
+        ]
+        assert "breakdown" in batched[1]
+        # one fit call per answer_minima call, the all-equal draw's with no sample
+        assert batch_sizes == [2, 1, 0, 1]
 
     def test_repeated_shots_setting_is_a_config_error(self, tmp_path, capsys):
         # one extremes_s100.csv cannot hold two settings' runs

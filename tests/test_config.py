@@ -94,6 +94,14 @@ REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
             "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30"]),
     ({"synthetic": {"n": 6}}, [{"report.json": {k: v for k, v in REPORT.items() if k != "y_ideal"}},
                                "validate", "--shots", "2", "--n-evt", "5"]),
+    (FAST, [{"qaoa_params.json": {"depth_p": None, "gammas": [], "betas": []}},
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30"]),
+    (FAST, [{"baseline.json": {"x": 5, "energy": 1.0}},
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30"]),
+    ({"synthetic": {"n": 6}}, [{"report.json": {**REPORT, "noise": {}}},
+                               "validate", "--shots", "20", "--n-evt", "5"]),
+    ({"synthetic": {"n": 6}}, ["validate", "--shots", "20", "--n-evt", "0",
+                               "--delta-min", "0", "--delta-max", "8", "--trials", "20"]),
 ])
 def test_refused_before_any_write(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"
