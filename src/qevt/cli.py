@@ -32,6 +32,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -115,14 +116,17 @@ def _add_instance_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: validate has no --n, and must not read it as --n-evt
     parser = argparse.ArgumentParser(
         prog="qevt",
         description="Estimate quantum run counts against a simulated-annealing baseline",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"qevt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    command = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("generate", help="write a synthetic instance file")
+    p = command("generate", help="write a synthetic instance file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int, default=0)
@@ -130,13 +134,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-to-noise", type=float, default=3.0)
     p.add_argument("-o", "--output", type=Path, required=True)
 
-    p = sub.add_parser("solve-sa", help="run the simulated-annealing baseline")
+    p = command("solve-sa", help="run the simulated-annealing baseline")
     _add_common(p)
     _add_instance_flags(p)
     p.add_argument("--sweeps", dest="sa.sweeps", type=int)
     p.add_argument("--restarts", dest="sa.restarts", type=int)
 
-    p = sub.add_parser("estimate", help="full pipeline: baseline, QAOA, fits, run counts")
+    p = command("estimate", help="full pipeline: baseline, QAOA, fits, run counts")
     _add_common(p)
     _add_instance_flags(p)
     p.add_argument("--shots", dest="shots_grid", type=int, nargs="+", help="shots grid override")
@@ -148,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y-ideal", dest="y_ideal_override", type=float,
                    help="override the baseline energy")
 
-    p = sub.add_parser("validate", help="empirical check of an estimated run count")
+    p = command("validate", help="empirical check of an estimated run count")
     _add_common(p)
     p.add_argument("--shots", type=int, required=True, help="shots setting to validate")
     p.add_argument("--alpha", type=float, default=0.95)
@@ -157,13 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", type=int, default=3)
     p.add_argument("--trials", type=int, default=500)
 
-    p = sub.add_parser("shot-sweep", help="average best energy across a shots grid")
+    p = command("shot-sweep", help="average best energy across a shots grid")
     _add_common(p)
     _add_instance_flags(p)
     p.add_argument("--shots", dest="shots_grid", type=int, nargs="+", help="grid override")
     p.add_argument("--reps", type=int, default=20)
 
-    p = sub.add_parser("sample-size", help="estimate how many extreme samples a fit needs")
+    p = command("sample-size", help="estimate how many extreme samples a fit needs")
     _add_common(p)
     _add_instance_flags(p)
     p.add_argument("--pool", type=Path, help="extreme-sample CSV (min_energy column)")

@@ -27,36 +27,42 @@ routes to the success probability:
   y_ideal (:func:`estimate_shots`), which is what the extreme-value model
   is for.
 
-Fitting is maximum likelihood by bounded L-BFGS-B from several shape
-starts.  :func:`fit_gev_minima_batch` runs every (sample, start) pair as
-one lane with its own state of scipy's L-BFGS-B kernel (``setulb``); the
-lanes advance in lockstep and each round evaluates the likelihood once,
-vectorised over every lane that asked.  The kernel gets the arguments
-``scipy.optimize.minimize`` gives it (same memory, tolerances, line-search
-and iteration limits), and the driver around it keeps only what can change
-a fit: it answers each request with an evaluation, where scipy's answers a
-repeated point from memory, and sets no evaluation budget, which scipy's
-never reaches.  The vectorised likelihood gives each lane the doubles of a
-one-lane evaluation, so a batch returns exactly what fitting each sample
-alone through ``minimize`` returns.  That bit-exactness is the point: with
-xi < -1 the likelihood is unbounded and the fits move far under last-bit
-changes, so a different optimizer would move every bootstrap triple.
+Fitting is maximum likelihood by a projected Newton iteration from several
+shape starts, the Newton-Raphson GEV fit of Hosking (1985, Algorithm AS 215)
+with a line search.  :func:`fit_gev_minima_batch` runs every (sample, start)
+pair as one lane, and the lanes advance in lockstep: each round evaluates
+the analytic Hessian once, vectorised over every lane still running, and
+each halving of the line search evaluates the likelihood and its gradient
+once for every lane still searching.  A lane's direction is the Newton step
+on its Hessian made positive definite (each eigenvalue by its absolute
+value, floored); the step is clipped to the bounds (mu free, sigma >= 1e-8
+sigma0, XI_MIN <= xi <= XI_MAX) and halved until it passes the Armijo test.
+The likelihood is +inf outside the support, so a step that leaves it is
+halved like any other that fails the test.  A lane stops on a relative
+decrease of at most FIT_FTOL, on a line search that finds no decrease, at
+FIT_MAXITER iterations, or at its first iterate with xi <= -1, and records
+which (``STOPS``).  The starts are ranked by the likelihood at each lane's
+last iterate, ties by start index.  Every step is elementwise, a per-lane
+reduction or a per-lane 3x3 ``eigh``, so a lane gets the doubles of a
+one-lane fit and a sample's fit does not depend on the batch it runs in.
+
+At xi <= -1 the likelihood has no interior maximum (Smith 1985): it grows
+without bound as the upper endpoint mu - sigma / xi closes on the sample
+maximum.  A lane that gets there returns its first iterate with xi <= -1:
+a finite triple inside the support whose shape says the sample is
+non-regular, not a maximum-likelihood estimate.  Run minima with an atom,
+above, end there.
+
 The program fits through the batch: the estimate's answer step
 (``qevt.pipeline.answer_minima``) fits every draw it is given in one call,
 and the sample-size procedure fits each subset size's refits in one call.
 :func:`fit_gev_minima` is a batch of one, for a lone sample such as the
-sample-size reference fit.
-
-scipy is imported inside the functions that call its kernel, not at module
-level: ``scipy.optimize`` takes longer to import than most commands take to
-run, and ``qevt --help``, ``generate``, ``solve-sa`` and ``validate`` never
-fit.  The first fit in a process pays the import.
+sample-size reference fit.  No fit imports scipy.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +88,6 @@ ROUTE_HIT_RATE = "hit_rate"
 ROUTE_GEV = "gev"
 
 _SUPPORT_EPS = 1e-12
-_PENALTY = 1e8
 
 
 def __getattr__(name: str):
@@ -215,7 +220,8 @@ def jitter(energies, seed: int = 0) -> JitteredSamples:
 
 
 def gev_nll(params: GevParams, maxima) -> float:
-    """Negative log-likelihood of maxima-domain data under the law."""
+    """Negative log-likelihood of maxima-domain data under the law (+inf
+    outside its support)."""
     theta = np.array([[params.mu, params.sigma, params.xi]])
     value, _ = _nll_and_grad_lanes(theta, np.asarray(maxima, dtype=np.float64)[None, :])
     return float(value[0])
@@ -233,46 +239,19 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
     ``np.float_power``, the libm ``pow`` of a scalar ``xi ** 2`` (an array's
     ``** 2`` is a multiply, which differs in the last bit for about one
     value in a thousand).  sigma must be positive, as the fit's bounds keep
-    it.  Lanes outside the support take a graded penalty whose sums run over
-    the violating entries only.  Their violating entries are gathered once,
-    in row order with the lanes ordered by their count c of violating
-    entries, and each count's (lanes, c) block is summed row by row.
+    it.  A lane with some t = 1 + xi (y - mu) / sigma <= _SUPPORT_EPS off the
+    Gumbel branch lies outside the support; it and a lane whose value or
+    gradient is not finite get the value +inf and a NaN gradient.
     """
     mu, sigma, xi = theta.T.copy()
     n_lanes, m = y.shape
-    f = np.empty(n_lanes)
-    g = np.empty((n_lanes, 3))
+    f = np.full(n_lanes, np.inf)
+    g = np.full((n_lanes, 3), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = (y - mu[:, None]) / sigma[:, None]
         t = 1.0 + xi[:, None] * u
         gumbel = np.abs(xi) < GUMBEL_XI_EPS
-        bad = t <= _SUPPORT_EPS
-        outside = ~gumbel & bad.any(axis=1)
-        regular = ~(gumbel | outside)
-
-        if outside.any():
-            # graded penalty whose gradient pushes the support constraint back
-            lanes = np.flatnonzero(outside)
-            counts = bad[lanes].sum(axis=1)
-            order = np.argsort(counts)
-            lanes, counts = lanes[order], counts[order]
-            mask = bad[lanes]
-            viol = _SUPPORT_EPS - t[lanes][mask]
-            u_bad = u[lanes][mask]
-            viol_sum, u_sum = np.empty(lanes.size), np.empty(lanes.size)
-            # the lanes of count c hold consecutive runs of c entries, so a
-            # (lanes, c) view of them sums each lane's entries as a 1-D sum
-            first = entry = 0
-            for c, size in Counter(counts.tolist()).items():
-                end, stop = first + size, entry + size * c
-                viol[entry:stop].reshape(size, c).sum(axis=1, out=viol_sum[first:end])
-                u_bad[entry:stop].reshape(size, c).sum(axis=1, out=u_sum[first:end])
-                first, entry = end, stop
-            ratio = xi[lanes] / sigma[lanes]
-            f[lanes] = _PENALTY * (1.0 + viol_sum)
-            g[lanes, 0] = _PENALTY * (ratio * counts)
-            g[lanes, 1] = _PENALTY * (ratio * u_sum)
-            g[lanes, 2] = _PENALTY * -u_sum
+        regular = ~gumbel & (t > _SUPPORT_EPS).all(axis=1)
 
         if gumbel.any():
             lanes = np.flatnonzero(gumbel)
@@ -290,7 +269,7 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
             ur, tr, sr, xr = u[lanes], t[lanes], sigma[lanes], xi[lanes]
             logt = np.log(tr)
             # cap the exponent: far-off iterates would overflow, and a huge
-            # finite value steers the optimizer back just as well
+            # finite value turns the line search back just as well
             w = np.exp(np.minimum(-logt / xr[:, None], 500.0))
             inv_t = 1.0 / tr
             slog = logt.sum(axis=1)
@@ -310,120 +289,144 @@ def _nll_and_grad_lanes(theta: np.ndarray, y: np.ndarray):
                 axis=1,
             )
             finite = np.isfinite(value) & np.isfinite(grad).all(axis=1)
-            f[lanes] = np.where(finite, value, _PENALTY * 2.0)
-            g[lanes] = np.where(finite[:, None], grad, 0.0)
+            f[lanes] = np.where(finite, value, np.inf)
+            g[lanes] = grad
     return f, g
 
 
-def _support_ok(theta: np.ndarray, y: np.ndarray) -> bool:
-    mu, sigma, xi = theta
-    if abs(xi) < GUMBEL_XI_EPS:
-        return True
-    return bool(np.all(1.0 + xi * (y - mu) / sigma > 0.0))
+def _hessian_lanes(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Hessian (L, 3, 3) of the negative log-likelihood of every lane, at
+    points inside the support.
+
+    With u = (y - mu) / sigma, t = 1 + xi u, a = 1 / t and w = t^(-1/xi),
+    one maximum contributes log sigma + log t - log w + w, and with
+    p = a / sigma, v = u a, c = w - 1 - xi, b = w + xi c and
+    r = d(log w)/d(xi) = (log t / xi - v) / xi its second derivatives are
+
+        mu mu:    p^2 b                  mu xi:    p (w r - 1 - v c)
+        mu sigma: u p^2 b - c p / sigma  sigma xi: u p (w r - 1 - v c)
+        sigma sigma: u^2 p^2 b - 2 c u p / sigma - 1 / sigma^2
+        xi xi:    w r^2 + (c v^2 - 2 (w - 1) r) / xi.
+
+    The Gumbel branch (|xi| < GUMBEL_XI_EPS) takes their limits as xi -> 0,
+    from the expansion of the contribution to second order in xi.  Every
+    entry is a per-lane row sum, as in :func:`_nll_and_grad_lanes`.
+    """
+    mu, sigma, xi = theta.T.copy()
+    n_lanes, m = y.shape
+    # per lane: mu mu, mu sigma, sigma sigma (less m / sigma^2), mu xi,
+    # sigma xi, xi xi
+    sums = np.empty((n_lanes, 6))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        u = (y - mu[:, None]) / sigma[:, None]
+        gumbel = np.abs(xi) < GUMBEL_XI_EPS
+
+        if gumbel.any():
+            lanes = np.flatnonzero(gumbel)
+            ug, sg = u[lanes], sigma[lanes, None]
+            e = np.exp(-ug)
+            dx = (1.0 - ug + e * ug * (1.0 - 0.5 * ug)) / sg
+            u2 = ug * ug
+            sums[lanes] = np.stack(
+                [e / sg**2, (1.0 - e + ug * e) / sg**2, (2.0 * ug * (1.0 - e) + u2 * e) / sg**2,
+                 -dx, -ug * dx, -u2 + u2 * ug * (2.0 / 3.0)
+                 + e * u2 * (0.25 * u2 - ug * (2.0 / 3.0))],
+                axis=1,
+            ).sum(axis=2)
+
+        if not gumbel.all():
+            lanes = np.flatnonzero(~gumbel)
+            ur, sr, xr = u[lanes], sigma[lanes, None], xi[lanes, None]
+            # log1p keeps log t accurate to the last bit near xi = 0, where r
+            # and the xi xi entry cancel to O(xi) of their terms
+            logt = np.log1p(xr * ur)
+            a = 1.0 / (1.0 + xr * ur)
+            w = np.exp(np.minimum(-logt / xr, 500.0))
+            p, v = a / sr, ur * a
+            c = w - 1.0 - xr
+            r = (logt / xr - v) / xr
+            pb = p * p * (w + xr * c)
+            cp = c * p / sr
+            q = p * (w * r - 1.0 - v * c)
+            sums[lanes] = np.stack(
+                [pb, ur * pb - cp, ur * (ur * pb - 2.0 * cp), q, ur * q,
+                 w * r * r + (c * v * v - 2.0 * (w - 1.0) * r) / xr],
+                axis=1,
+            ).sum(axis=2)
+    h = sums[:, [0, 1, 3, 1, 2, 4, 3, 4, 5]].reshape(-1, 3, 3)
+    h[:, 1, 1] -= m / sigma**2
+    return h
 
 
-# scipy.optimize.minimize(method="L-BFGS-B") defaults, plus FIT_MAXITER
-_LBFGSB_MAXCOR = 10
-_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
-_LBFGSB_PGTOL = 1e-5
-_LBFGSB_MAXLS = 20
 FIT_MAXITER = 200
+# the relative decrease that ends a lane: scipy L-BFGS-B's default factr * eps
+FIT_FTOL = 2.2204460492503131e-09
+# Armijo's sufficient-decrease share, halvings per line search, and the
+# floor on a Hessian eigenvalue as a share of the lane's largest
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 30
+_EIG_FLOOR = 1e-10
 
-# L-BFGS-B task codes (task[0] states, task[1] stop reasons)
-_TASK_NEW_X, _TASK_FG, _TASK_STOP = 1, 3, 5
-_STOP_MAXITER = 504
-
-# setulb's bound kind per parameter: mu none, sigma lower only, xi both
-_BOUND_KINDS = np.array([0, 1, 2], dtype=np.int32)
-
-
-class _Lane:
-    """One L-BFGS-B run: scipy's ``setulb`` state and its iteration count."""
-
-    __slots__ = ("x", "lower", "upper", "f", "g", "wa", "iwa", "task", "ln_task",
-                 "lsave", "isave", "dsave", "nit")
-
-    def __init__(self, x, lower, upper):
-        n, m = x.size, _LBFGSB_MAXCOR
-        self.x, self.lower, self.upper = x, lower, upper
-        self.f = 0.0
-        self.g = np.zeros(n)
-        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * n, dtype=np.int32)
-        self.task = np.zeros(2, dtype=np.int32)
-        self.ln_task = np.zeros(2, dtype=np.int32)
-        self.lsave = np.zeros(4, dtype=np.int32)
-        self.isave = np.zeros(44, dtype=np.int32)
-        self.dsave = np.zeros(29)
-        self.nit = 0
-
-    def advance(self, setulb) -> bool:
-        """Step until the lane wants f and g at ``x`` (True) or stops (False).
-
-        Each new iterate counts toward FIT_MAXITER, as scipy's driver counts
-        it; the FIT_MAXITER-th stops the lane.
-        """
-        while True:
-            setulb(_LBFGSB_MAXCOR, self.x, self.lower, self.upper, _BOUND_KINDS, self.f, self.g,
-                   _LBFGSB_FACTR, _LBFGSB_PGTOL, self.wa, self.iwa, self.task, self.lsave,
-                   self.isave, self.dsave, _LBFGSB_MAXLS, self.ln_task)
-            state = self.task[0]
-            if state == _TASK_FG:
-                return True
-            if state != _TASK_NEW_X:
-                return False
-            self.nit += 1
-            if self.nit >= FIT_MAXITER:
-                self.task[:] = (_TASK_STOP, _STOP_MAXITER)
-
-    def message(self) -> str:
-        from scipy.optimize import _lbfgsb_py as lbfgsb
-
-        return f"{lbfgsb.status_messages[self.task[0]]}: {lbfgsb.task_messages[self.task[1]]}"
+# why a lane stopped, indexed by the codes _newton_lanes records
+STOPS = ("converged", "no decrease", "FIT_MAXITER iterations", "xi <= -1",
+         "start outside the support")
+_CONVERGED, _NO_DECREASE, _MAXITER, _NON_REGULAR, _START_OUTSIDE = range(len(STOPS))
 
 
-def _minimize_lanes(x0: np.ndarray, y: np.ndarray) -> list:
-    """Bounded L-BFGS-B of the GEV likelihood from every row of ``x0``.
+def _newton_direction(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """-H'^-1 g per lane, where H' is H with each eigenvalue by its absolute
+    value, floored at _EIG_FLOOR of the largest.  A Hessian that is not
+    finite gives a NaN direction, which the line search rejects."""
+    lam, vec = np.linalg.eigh(h)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIG_FLOOR * lam.max(axis=1, keepdims=True))
+    coef = (vec * g[:, :, None]).sum(axis=1) / lam
+    return -(vec * coef[:, None, :]).sum(axis=2)
+
+
+def _newton_lanes(x0: np.ndarray, y: np.ndarray):
+    """Projected Newton fits of the GEV likelihood from every row of ``x0``.
 
     Lane k starts at ``x0[k]`` = (mu0, sigma0, xi0) on maxima ``y[k]``, with
-    the fit's bounds: mu free, sigma >= 1e-8 sigma0, XI_MIN <= xi <= XI_MAX.
-    Every lane runs its own ``setulb`` state; the lanes advance in lockstep,
-    and each round evaluates the likelihood once for all lanes that asked.
-    Each lane takes the path of ``scipy.optimize.minimize(_, x0[k],
-    jac=True, method="L-BFGS-B", bounds=..., options={"maxiter":
-    FIT_MAXITER})`` step for step and ends at the same ``x`` with the same
-    ``fun`` (the value last evaluated).  Returns the lanes.
-
-    Of scipy's driver only what can change a fit is kept.  ``setulb``'s
-    START call reads no f or g, so the first round evaluates every start,
-    which scipy does once up front.  A request at the point last evaluated
-    is evaluated again, where scipy answers from memory; the likelihood
-    gives a lane the same doubles in any batch.  No evaluation budget: an
-    iteration runs at most two line searches (the second after a memory
-    reset) of at most _LBFGSB_MAXLS requests, so a lane makes at most
-    1 + FIT_MAXITER * 2 * _LBFGSB_MAXLS = 8001, and scipy's 15000 never
-    binds.  Every trial point lies inside the bounds, and a finite sample's
-    sigma0 is positive (zero spread is refused before a lane starts), so
-    sigma stays positive.
+    the bounds mu free, sigma >= 1e-8 sigma0, XI_MIN <= xi <= XI_MAX.
+    Returns each lane's last iterate (L, 3), the likelihood there (L,) and
+    its stop code, an index into STOPS.  A lane whose start lies outside
+    the support (likelihood +inf) stops there.  All running lanes take
+    their i-th iteration in the same round.
     """
-    from scipy.optimize._lbfgsb import setulb
-
-    n_lanes = x0.shape[0]
-    lower = np.column_stack([np.full(n_lanes, -np.inf), 1e-8 * x0[:, 1], np.full(n_lanes, XI_MIN)])
-    x = np.clip(x0, lower, [np.inf, np.inf, XI_MAX])
-    # setulb reads 0 for an absent bound, as scipy passes it
-    lower[:, 0] = 0.0
-    upper = np.array([0.0, 0.0, XI_MAX])
-    lanes = [_Lane(x[k], lower[k], upper) for k in range(n_lanes)]
-    waiting = [k for k, lane in enumerate(lanes) if lane.advance(setulb)]
-    while waiting:
-        idx = np.array(waiting)
-        f, g = _nll_and_grad_lanes(x[idx], y[idx])
-        for j, k in enumerate(waiting):
-            lanes[k].f = f[j]
-            lanes[k].g[:] = g[j]
-        waiting = [k for k in waiting if lanes[k].advance(setulb)]
-    return lanes
+    lower = np.column_stack([np.full(len(x0), -np.inf), 1e-8 * x0[:, 1],
+                             np.full(len(x0), XI_MIN)])
+    upper = np.array([np.inf, np.inf, XI_MAX])
+    x = np.clip(x0, lower, upper)
+    f, g = _nll_and_grad_lanes(x, y)
+    stop = np.where(np.isfinite(f), -1, _START_OUTSIDE)
+    run = np.flatnonzero(stop < 0)
+    nit = 0
+    while run.size:
+        nit += 1
+        d = _newton_direction(_hessian_lanes(x[run], y[run]), g[run])
+        f_old, step, search = f[run], 1.0, np.arange(run.size)
+        for _ in range(_MAX_HALVINGS):
+            lanes = run[search]
+            trial = np.clip(x[lanes] + step * d[search], lower[lanes], upper)
+            f_new, g_new = _nll_and_grad_lanes(trial, y[lanes])
+            slope = np.minimum(((trial - x[lanes]) * g[lanes]).sum(axis=1), 0.0)
+            ok = f_new <= f[lanes] + _ARMIJO * slope
+            x[lanes[ok]], f[lanes[ok]], g[lanes[ok]] = trial[ok], f_new[ok], g_new[ok]
+            search, step = search[~ok], 0.5 * step
+            if not search.size:
+                break
+        f_now = f[run]
+        scale = np.maximum(np.maximum(np.abs(f_old), np.abs(f_now)), 1.0)
+        codes = np.select(
+            [np.isin(np.arange(run.size), search), x[run, 2] <= -1.0,
+             f_old - f_now <= FIT_FTOL * scale, nit >= FIT_MAXITER],
+            [_NO_DECREASE, _NON_REGULAR, _CONVERGED, _MAXITER],
+            -1,
+        )
+        stop[run] = codes
+        run = run[codes < 0]
+    return x, f, stop
 
 
 def fit_gev_minima_batch(samples_list) -> list:
@@ -432,11 +435,10 @@ def fit_gev_minima_batch(samples_list) -> list:
     Returns, per entry, its :class:`GevParams` or the
     :class:`~qevt.errors.QevtError` that :func:`fit_gev_minima` would raise
     for it.  Every (sample, start) pair of FIT_XI_STARTS is one lane of
-    :func:`_minimize_lanes`, and samples of one size share the lockstep, so
-    a bootstrap's refits cost one vectorised likelihood per round instead of
-    one scipy driver per start.  The lanes reproduce scipy's L-BFGS-B
-    bit for bit, so each entry is exactly the fit a lone
-    ``scipy.optimize.minimize`` loop over the starts would return.
+    :func:`_newton_lanes`, and samples of one size share the lockstep, so
+    a bootstrap's refits cost one vectorised evaluation per round instead of
+    one per start.  A lane's doubles do not depend on the other lanes, so
+    each entry is exactly the fit of that sample alone.
     """
     results: list = [None] * len(samples_list)
     by_size: dict[int, list] = {}
@@ -463,28 +465,24 @@ def fit_gev_minima_batch(samples_list) -> list:
             for xi0 in FIT_XI_STARTS:
                 x0.append((mu0, sigma0, xi0))
                 ys.append(y)
-        lanes = _minimize_lanes(np.array(x0), np.array(ys))
-        for s, (i, y, _) in enumerate(entries):
-            results[i] = _best_start(lanes[s * n_starts:(s + 1) * n_starts], y)
+        x, f, stop = _newton_lanes(np.array(x0), np.array(ys))
+        for s, (i, _, _) in enumerate(entries):
+            lanes = slice(s * n_starts, (s + 1) * n_starts)
+            results[i] = _best_start(x[lanes], f[lanes], stop[lanes])
     return results
 
 
-def _best_start(lanes, y: np.ndarray):
-    """The best-ranked start that ended finite and inside the support, or
-    the :class:`FitFailureError` when no start did."""
-    results = []
-    diagnostics = []
-    for idx, (xi0, lane) in enumerate(zip(FIT_XI_STARTS, lanes)):
-        theta = lane.x
-        if np.all(np.isfinite(theta)) and math.isfinite(lane.f) and _support_ok(theta, y):
-            results.append((float(lane.f), idx, theta))
-        else:
-            diagnostics.append(f"start xi={xi0}: {lane.message()} (fun={lane.f})")
-    if not results:
+def _best_start(x: np.ndarray, f: np.ndarray, stop: np.ndarray):
+    """The start whose last iterate has the least likelihood value, ties by
+    start index, or the :class:`FitFailureError` when no start ended finite
+    (every start outside the support, or data that are not finite)."""
+    if not np.isfinite(f).any():
         return FitFailureError(
-            f"GEV fit failed from all {len(FIT_XI_STARTS)} starts", diagnostics=diagnostics
+            f"GEV fit failed from all {len(FIT_XI_STARTS)} starts",
+            diagnostics=[f"start xi={xi0}: {STOPS[code]} (fun={fun})"
+                         for xi0, code, fun in zip(FIT_XI_STARTS, stop, f)],
         )
-    _, _, best = min(results, key=lambda t: (t[0], t[1]))
+    best = x[int(np.argmin(f))]
     return GevParams(mu=float(best[0]), sigma=float(best[1]), xi=float(best[2]))
 
 
@@ -496,11 +494,9 @@ def fit_gev_minima(samples: JitteredSamples) -> GevParams:
     :func:`success_probability` for queries about the original minima).
 
     Initialization is Gumbel method-of-moments on the negated data, with
-    bounded L-BFGS-B multi-starts over shape values FIT_XI_STARTS.  The
-    starts are ranked by the objective value L-BFGS-B evaluated last, ties
-    by start index.  That value is the likelihood at the returned point
-    only when the run converged: after an abnormal line search it is the
-    rejected trial's, often a support penalty of 1e8 or more.
+    projected Newton multi-starts over shape values FIT_XI_STARTS, ranked
+    by the likelihood at each start's last iterate, ties by start index.
+    At xi <= -1 that iterate is the first one past -1 (module docstring).
 
     A batch of one for :func:`fit_gev_minima_batch`, so both take one path.
     """

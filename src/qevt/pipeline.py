@@ -239,6 +239,15 @@ _REPORT_FIELDS = {
               "an object with a readout_flip_prob in [0, 0.5]"),
 }
 
+# read too when validate takes its run count from the report
+_ESTIMATES = _each(lambda e: isinstance(e, dict) and is_number(e.get("alpha")) and "n_evt" in e)
+_PER_SHOTS_FIELD = {
+    "per_shots": (_each(lambda e: isinstance(e, dict) and is_integer(e.get("shots_s"))
+                        and ("breakdown" in e or _ESTIMATES(e.get("estimates")))),
+                  "a non-empty list of entries with a shots_s and a breakdown or estimates "
+                  "(each with alpha and n_evt)"),
+}
+
 
 def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
@@ -360,10 +369,16 @@ def ensure_stage_artifacts(cfg: ExperimentConfig, out_dir):
             "names; use a fresh output directory"
         )
     params_path = out / "qaoa_params.json"
-    params = (
-        QaoaParams.from_dict(_read_stage_file(params_path, _PARAMS_FIELDS))
-        if params_path.exists() else None
-    )
+    params = None
+    if params_path.exists():
+        stored = _read_stage_file(params_path, _PARAMS_FIELDS)
+        lengths = (len(stored["gammas"]), len(stored["betas"]))
+        if lengths != (stored["depth_p"],) * 2:
+            raise ConfigError(
+                f"{params_path}: gammas and betas must each have length depth_p "
+                f"({stored['depth_p']}), got {lengths[0]} and {lengths[1]}"
+            )
+        params = QaoaParams.from_dict(stored)
     inst_path = out / "instance.json"
     if not inst_path.exists():
         out.mkdir(parents=True, exist_ok=True)
@@ -551,9 +566,10 @@ def run_validate(
     when its uniform lies below ``p_run_exact``, the hit probability of
     shots_s shots.  :meth:`~qevt.qaoa.RunMinimumLaw.draw` would give the
     same hits from the same uniforms, so no circuit is rebuilt.  A report
-    without that field, or another one read here, is refused with
-    ConfigError.  The provenance hashes ``cfg`` with the report's noise and
-    initial state in place of its own.
+    without that field, or another one read here (``per_shots`` when
+    ``n_evt`` is not given), is refused with ConfigError.  The provenance
+    hashes ``cfg`` with the report's noise and initial state in place of its
+    own.
 
     Next to each ratio the payload gives ``exact_ratio``, the probability
     that the best of ``runs`` runs meets the baseline: the same formula at
@@ -567,7 +583,9 @@ def run_validate(
     report_path = out / "report.json"
     if not report_path.exists():
         raise ConfigError(f"no estimate report at {report_path}; run the estimate command first")
-    report = _read_stage_file(report_path, _REPORT_FIELDS)
+    report = _read_stage_file(
+        report_path, _REPORT_FIELDS if n_evt is not None else {**_REPORT_FIELDS, **_PER_SHOTS_FIELD}
+    )
     log_miss = float(report["log_miss_per_shot"])
     y_ideal = float(report["y_ideal"])
     if n_evt is None:

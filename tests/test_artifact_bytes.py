@@ -52,10 +52,10 @@ from qevt.pipeline import (
 )
 from qevt.sample_size import SampleSizeConfig
 
-ESTIMATE_SHA256 = "98f772315fca6cd33cf3ff0916113023fae9a47eda89847162ad21f3e851ecd0"
-FIT_SVG_SHA256 = "776ac22dba5b03630de6eb627ccba61c793dd8f644891f8867ebfd8bad51b150"
+ESTIMATE_SHA256 = "669bc24d1219a2c216878b28260c948b247aa89084021ed9f4b3518577ddb011"
+FIT_SVG_SHA256 = "c99e7edfc685deec8e3d01516f76b66850e78415b2ebf32c4d7df860c3bf4ab3"
 VALIDATE_SHA256 = "bd42a2997a94ca7be0c7ebe61396aeb9518f5e5b7af14a81b43f4f13c3ce78f3"
-SAMPLE_SIZE_SHA256 = "285898eb8a7af8f7008eb86d40fd88ce4f50e0c58add84ab6e2ab03048669fb2"
+SAMPLE_SIZE_SHA256 = "e24b6861239a92b890691530129acf8083c1d991ee3e0ba3c462a3e8f6e5718e"
 
 
 def _digest(out, names) -> str:

@@ -61,6 +61,7 @@ FAST = {"synthetic": {"n": 6}, "sa": {"sweeps": 20, "restarts": 1}, "qaoa_restar
         "qaoa_maxiter": 5, "pool_runs": 100, "sample_size": BOOTSTRAP}
 REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
           "noise": {"readout_flip_prob": 0.0}, "per_shots": []}
+NO_PER_SHOTS = {k: v for k, v in REPORT.items() if k != "per_shots"}
 
 
 @pytest.mark.parametrize("config, args", [
@@ -102,6 +103,14 @@ REPORT = {"log_miss_per_shot": -0.1, "initial_state": "minus", "y_ideal": -1.0,
                                "validate", "--shots", "20", "--n-evt", "5"]),
     ({"synthetic": {"n": 6}}, ["validate", "--shots", "20", "--n-evt", "0",
                                "--delta-min", "0", "--delta-max", "8", "--trials", "20"]),
+    ({"synthetic": {"n": 6}}, [{"report.json": NO_PER_SHOTS}, "validate", "--shots", "20",
+                               {"per_shots"}]),
+    (FAST, [{"qaoa_params.json": {"depth_p": 3, "gammas": [0.1], "betas": [0.2]}},
+            "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30",
+            {"gammas", "betas", "depth_p"}]),
+    # validate has no --n; without prefix matching it is not read as --n-evt
+    ({"synthetic": {"n": 6}}, ["validate", "--n", "6", "--shots", "20", "--trials", "20",
+                               {"--n 6"}]),
 ])
 def test_refused_before_any_write(tmp_path, capsys, config, args):
     path = tmp_path / "config.json"
@@ -109,8 +118,12 @@ def test_refused_before_any_write(tmp_path, capsys, config, args):
     out = tmp_path / "out"
     out.mkdir()
     # a dict before the command holds the stage files found in the output
-    # directory; validate finds a good report unless the case names one
+    # directory; validate finds a good report unless the case names one.  A
+    # set after the command holds the fields the refusal must name
     own_files = isinstance(args[0], dict)
+    fields_named = set()
+    if isinstance(args[-1], set):
+        *args, fields_named = args
     staged = {"report.json": REPORT} if args[0] == "validate" else {}
     if own_files:
         staged, *args = args
@@ -134,11 +147,14 @@ def test_refused_before_any_write(tmp_path, capsys, config, args):
             named.append(f"{pool}: data row 51 ")
         pool.write_text(f"{header}\n" + "".join(f"{row}\n" for row in rows))
         args = [*args[:at], str(pool)]
-    code = main([*args, "--config", str(path), "--out-dir", str(out)])
+    try:
+        code = main([*args, "--config", str(path), "--out-dir", str(out)])
+    except SystemExit as exc:  # argparse refuses a flag before any command runs
+        code = exc.code
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
     assert sorted(p.name for p in out.iterdir()) == sorted(staged)
-    assert all(part in err for part in named), err
+    assert all(part in err for part in [*named, *fields_named]), err
 
 
 def _finite_number(text: str) -> bool:
