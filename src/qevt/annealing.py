@@ -4,6 +4,10 @@ Single-flip Metropolis proposals with a geometric cooling schedule; one sweep
 proposes n flips.  Each restart draws on its own derived RNG stream, and the
 final reduction (minimum energy, ties by smallest bitstring index) does not
 depend on restart order.
+
+The draw rule: from its own stream, a restart draws its n initial bits, then
+every sweep's sites as one (sweeps, n) block, then every sweep's acceptance
+uniforms as a second; sweep t proposes row t's sites against row t's uniforms.
 """
 
 from __future__ import annotations
@@ -46,51 +50,6 @@ def default_sa_config(inst: QuboInstance, seed: int = 0, **overrides) -> SaConfi
     return SaConfig(**{"initial_temperature": t0, "seed": seed, **overrides})
 
 
-def _sweep_draws(rng, n: int, sweeps: int):
-    """The sites and acceptance uniforms of ``sweeps`` sweeps, as two
-    (sweeps, n) arrays: what ``sweeps`` rounds of ``rng.integers(0, n,
-    size=n)`` then ``rng.random(n)`` return, bit for bit, from one
-    ``random_raw`` block of PCG64, and the generator left in the state those
-    calls leave it in.
-
-    The replay follows numpy's own stream.  A site takes one 32-bit half of
-    a raw 64-bit output, low half first; PCG64 keeps an unused high half for
-    the next 32-bit draw, across calls (``has_uint32``, ``uinteger``).  It
-    becomes ``(u32 * n) >> 32``, Lemire's multiply-shift.  A uniform takes a
-    whole raw, ``(raw >> 11) * 2**-53``.  None, with the generator untouched,
-    when the bit generator is not PCG64, when n < 2 (numpy draws no site for
-    a range of one), or when some ``(u32 * n) mod 2**32`` is below n, where
-    numpy may reject that half and draw again.
-    """
-    bitgen = rng.bit_generator
-    if type(bitgen) is not np.random.PCG64 or n < 2:
-        return None
-    saved = bitgen.state
-    spare = [saved["uinteger"]] if saved["has_uint32"] else []
-    # raws the sites of the first k sweeps take: k * n halves, less the spare
-    site_raws = (np.arange(sweeps + 1) * n - len(spare) + 1) // 2
-    raw = bitgen.random_raw(int(site_raws[-1]) + sweeps * n)
-    # sweep k's n uniforms follow its own site raws
-    uniform_at = (site_raws[1:] + n * np.arange(sweeps))[:, None] + np.arange(n)
-    is_site = np.ones(raw.size, dtype=bool)
-    is_site[uniform_at] = False
-    sites_raw = raw[is_site]
-    halves = np.concatenate([
-        np.array(spare, dtype=np.uint64),
-        np.stack([sites_raw & 0xFFFFFFFF, sites_raw >> 32], axis=1).ravel(),
-    ])
-    scaled = halves[: sweeps * n] * np.uint64(n)
-    if np.any((scaled & 0xFFFFFFFF) < n):
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"] = halves.size - sweeps * n
-    state["uinteger"] = int(sites_raw[-1] >> 32)
-    bitgen.state = state
-    sites = (scaled >> 32).astype(np.int64).reshape(sweeps, n)
-    return sites, (raw[uniform_at] >> 11) * 2.0**-53
-
-
 def _anneal_once(inst: QuboInstance, cfg: SaConfig, rng) -> tuple[np.ndarray, float]:
     # the flip loop runs on Python floats: list reads and float arithmetic
     # cost a fraction of numpy scalar indexing, and every operation is the
@@ -105,18 +64,12 @@ def _anneal_once(inst: QuboInstance, cfg: SaConfig, rng) -> tuple[np.ndarray, fl
     best_bits = x[:]
     best_energy = energy
 
-    # one sweep's draws are n sites, then n acceptance uniforms: drawn in one
-    # block when they can be replayed, else one call each per sweep; either
-    # way one sweep at a time becomes Python numbers
-    draws = _sweep_draws(rng, n, cfg.sweeps)
-    if draws is None:
-        draws = ((rng.integers(0, n, size=n).tolist(), rng.random(n).tolist())
-                 for _ in range(cfg.sweeps))
-    else:
-        draws = ((sites.tolist(), uniforms.tolist()) for sites, uniforms in zip(*draws))
+    # the draw rule's two blocks; one sweep's rows at a time become Python numbers
+    sites = rng.integers(0, n, size=(cfg.sweeps, n))
+    uniforms = rng.random((cfg.sweeps, n))
     temperature = cfg.initial_temperature
-    for sites, accept_draws in draws:
-        for i, u in zip(sites, accept_draws):
+    for sweep_sites, sweep_uniforms in zip(sites, uniforms):
+        for i, u in zip(sweep_sites.tolist(), sweep_uniforms.tolist()):
             d = 1.0 - 2.0 * x[i]
             delta = 2.0 * d * gx[i] + diag[i] + w * (2.0 * d * (s - k) + 1.0)
             if delta <= 0.0 or (temperature > 0.0 and u < math.exp(-delta / temperature)):

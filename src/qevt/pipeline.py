@@ -149,8 +149,10 @@ class ExperimentConfig:
         if self.instance_path is not None and self.synthetic is not None:
             raise ConfigError(_ONE_SOURCE)
         check_rules(vars(self), self.RULES, "config")
-        if len(set(self.shots_grid)) < len(self.shots_grid):
-            raise ConfigError(f"shots_grid repeats a setting: {list(self.shots_grid)}")
+        for name in ("shots_grid", "alphas"):
+            settings = getattr(self, name)
+            if len(set(settings)) < len(settings):
+                raise ConfigError(f"{name} repeats a setting: {list(settings)}")
         check_rules(_known_fields(SaConfig, self.sa or {}, "sa"), SaConfig.RULES, "sa")
         object.__setattr__(self, "shots_grid", tuple(int(s) for s in self.shots_grid))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))

@@ -79,8 +79,12 @@ class SampleSizeConfig:
 
     def __post_init__(self):
         check_rules(vars(self), self.RULES, "sample_size")
-        if self.n_max <= self.n_min:
-            raise ConfigError(f"sample_size: n_max {self.n_max} must exceed n_min {self.n_min}")
+        # the regression of p-values on n needs at least two sizes
+        if len(range(self.n_min, self.n_max + 1, self.stride)) < 2:
+            raise ConfigError(
+                f"sample_size: the grid n_min {self.n_min} to n_max {self.n_max} by stride "
+                f"{self.stride} holds fewer than two sizes"
+            )
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ def test_tracer_wraps_every_traced_name_and_restores_them(tmp_path):
     key = instance_key(cfg.synthetic.build())
     assert tracer.trace.minima and all(k == key for k, _ in tracer.trace.minima)
     assert tracer.trace.counts["qaoa.shots_drawn"] > 0
+    # SA runs once, in the estimate (the later commands reuse baseline.json),
+    # and proposes one flip per acceptance uniform: restarts x sweeps x n
+    assert tracer.trace.counts["annealing.flips_proposed"] == 2 * 100 * 8
     after = _qevt_bindings()
     assert [key for key, value in before.items() if after.get(key) is not value] == []
 

@@ -108,6 +108,11 @@ NO_PER_SHOTS = {k: v for k, v in REPORT.items() if k != "per_shots"}
     (FAST, [{"qaoa_params.json": {"depth_p": 3, "gammas": [0.1], "betas": [0.2]}},
             "estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30",
             {"gammas", "betas", "depth_p"}]),
+    # a one-size grid leaves the regression of p-values on n one point
+    (FAST, ["sample-size", "--shots", "20", "--n-min", "20", "--n-max", "25", "--stride", "100",
+            {"n_min 20", "n_max 25", "stride 100"}]),
+    (FAST, ["estimate", "--n", "6", "--instance-seed", "1", "--shots", "20", "--runs", "30",
+            "--alpha", "0.5", "0.5", {"alphas repeats a setting: [0.5, 0.5]"}]),
     # validate has no --n; without prefix matching it is not read as --n-evt
     ({"synthetic": {"n": 6}}, ["validate", "--n", "6", "--shots", "20", "--trials", "20",
                                {"--n 6"}]),

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qevt.annealing import (
     SaConfig,
     _anneal_once,
-    _sweep_draws,
     default_sa_config,
     simulated_annealing,
 )
@@ -99,11 +98,11 @@ def _anneal_once_numpy(inst, cfg, rng):
     energy = float(x @ gx) + w * (s - k) ** 2
     best_bits = x.copy()
     best_energy = energy
+    sites = rng.integers(0, n, size=(cfg.sweeps, n))
+    uniforms = rng.random((cfg.sweeps, n))
     temperature = cfg.initial_temperature
-    for _ in range(cfg.sweeps):
-        sites = rng.integers(0, n, size=n)
-        accept_draws = rng.random(n)
-        for i, u in zip(sites, accept_draws):
+    for sweep_sites, sweep_uniforms in zip(sites, uniforms):
+        for i, u in zip(sweep_sites, sweep_uniforms):
             d = 1.0 - 2.0 * x[i]
             delta = 2.0 * d * gx[i] + q[i, i] + w * (2.0 * d * (s - k) + 1.0)
             if delta <= 0.0 or (temperature > 0.0 and u < math.exp(-delta / temperature)):
@@ -118,8 +117,12 @@ def _anneal_once_numpy(inst, cfg, rng):
     return best_bits.astype(np.int8), best_energy
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
+    bit_generator=st.sampled_from(BIT_GENERATORS),
     n=st.integers(1, 24),
     inst_seed=st.integers(0, 10_000),
     k_frac=st.floats(0.0, 1.0),
@@ -130,9 +133,9 @@ def _anneal_once_numpy(inst, cfg, rng):
     sweeps=st.integers(1, 40),
     rng_seed=st.integers(0, 2**32 - 1),
 )
-def test_python_float_loop_matches_the_numpy_loop(n, inst_seed, k_frac, penalty_weight, magnitude,
-                                                  initial_temperature, cooling_rate, sweeps,
-                                                  rng_seed):
+def test_python_float_loop_matches_the_numpy_loop(bit_generator, n, inst_seed, k_frac,
+                                                  penalty_weight, magnitude, initial_temperature,
+                                                  cooling_rate, sweeps, rng_seed):
     if n == 1:  # below generate_synthetic_q's smallest size
         inst = QuboInstance(n=1, q=[[magnitude * (-1) ** inst_seed]], k=round(k_frac),
                             penalty_weight=penalty_weight)
@@ -141,67 +144,36 @@ def test_python_float_loop_matches_the_numpy_loop(n, inst_seed, k_frac, penalty_
                                     penalty_weight=penalty_weight)
     cfg = SaConfig(initial_temperature=initial_temperature, cooling_rate=cooling_rate,
                    sweeps=sweeps, restarts=1)
-    bits, energy = _anneal_once(inst, cfg, np.random.default_rng(rng_seed))
-    ref_bits, ref_energy = _anneal_once_numpy(inst, cfg, np.random.default_rng(rng_seed))
+    bits, energy = _anneal_once(inst, cfg, np.random.Generator(bit_generator(rng_seed)))
+    ref_bits, ref_energy = _anneal_once_numpy(inst, cfg,
+                                              np.random.Generator(bit_generator(rng_seed)))
     assert bits.dtype == ref_bits.dtype and np.array_equal(bits, ref_bits)
     assert energy == ref_energy
 
 
-def _per_sweep_draws(rng, n, sweeps):
-    sites, uniforms = [], []
-    for _ in range(sweeps):
-        sites.append(rng.integers(0, n, size=n))
-        uniforms.append(rng.random(n))
-    return np.array(sites), np.array(uniforms)
+class _Recorder:
+    """A generator that records the name and shape of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.draws.append((name, np.shape(out)))
+            return out
+        return draw
 
 
-@pytest.mark.parametrize("n", range(2, 25))
-def test_sweep_draws_replay_the_per_sweep_calls(n):
-    # a spare 32-bit half is held before the sweeps after an odd number of
-    # 32-bit draws, and odd n pass one on from sweep to sweep
-    for seed, before in [(0, 0), (1, 1), (2, 3), (3, 2)]:
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        rng.integers(0, 2, size=before)
-        ref.integers(0, 2, size=before)
-        sites, uniforms = _sweep_draws(rng, n, 7)
-        ref_sites, ref_uniforms = _per_sweep_draws(ref, n, 7)
-        assert sites.dtype == ref_sites.dtype and np.array_equal(sites, ref_sites)
-        assert np.array_equal(uniforms, ref_uniforms)
-        # the generator is left where the per-sweep calls leave it
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-
-def _philox():
-    return np.random.Generator(np.random.Philox(5))
-
-
-@pytest.mark.parametrize("make_rng, n", [(_philox, 9), (lambda: np.random.default_rng(4), 1)])
-def test_sweeps_without_a_replay_draw_per_sweep(make_rng, n):
-    rng = make_rng()
-    assert _sweep_draws(rng, n, 5) is None
-    assert np.array_equal(rng.random(4), make_rng().random(4))  # the generator is untouched
+@pytest.mark.parametrize("n", range(1, 25))
+def test_a_restart_draws_bits_then_sites_then_uniforms(n):
+    # the module's draw rule, on every bit generator; the float-loop property
+    # checks what the loop does with the draws, and the benchmark's tracer
+    # counts the acceptance uniforms of the (sweeps, n) block
     inst = (QuboInstance(n=1, q=[[0.4]], k=0) if n == 1
             else generate_synthetic_q(n, seed=n, magnitude=0.5))
-    cfg = SaConfig(initial_temperature=2.0, cooling_rate=0.9, sweeps=30, restarts=1)
-    bits, energy = _anneal_once(inst, cfg, make_rng())
-    ref_bits, ref_energy = _anneal_once_numpy(inst, cfg, make_rng())
-    assert np.array_equal(bits, ref_bits) and energy == ref_energy
-
-
-def _zero_spare():
-    # a held 32-bit half of 0 puts the first site at Lemire's rejection test:
-    # (0 * n) mod 2^32 = 0 < n, and for n = 18 numpy rejects it and draws again
-    rng = np.random.default_rng(6)
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, 0
-    rng.bit_generator.state = state
-    return rng
-
-
-def test_a_possible_rejection_is_not_replayed():
-    rng = _zero_spare()
-    assert _sweep_draws(rng, 18, 5) is None
-    assert rng.bit_generator.state == _zero_spare().bit_generator.state
-    # numpy drew again: a replay would have put the first site at 0
-    sites, uniforms = _per_sweep_draws(rng, 18, 5)
-    assert sites[0, 0] != 0
+    cfg = SaConfig(initial_temperature=2.0, cooling_rate=0.9, sweeps=7, restarts=1)
+    for make in BIT_GENERATORS:
+        rng = _Recorder(np.random.Generator(make(n)))
+        _anneal_once(inst, cfg, rng)
+        assert rng.draws == [("integers", (n,)), ("integers", (7, n)), ("random", (7, n))]

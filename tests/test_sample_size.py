@@ -48,8 +48,10 @@ class TestConfigValidation:
             SampleSizeConfig(n_min=10, n_max=100)
 
     def test_range_ordering(self):
-        with pytest.raises(ConfigError):
-            SampleSizeConfig(n_min=50, n_max=50)
+        # the regression needs two sizes: an empty range and a one-size grid
+        for grid in [dict(n_min=50, n_max=50), dict(n_min=20, n_max=25, stride=100)]:
+            with pytest.raises(ConfigError, match="fewer than two sizes"):
+                SampleSizeConfig(**grid)
 
     def test_inner_draws_must_exceed_dimension(self):
         with pytest.raises(ConfigError):
