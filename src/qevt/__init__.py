@@ -38,7 +38,6 @@ from .qaoa import (
     NoiseConfig,
     OptimizerConfig,
     QaoaParams,
-    apply_mixer_layer,
     collect_extreme_samples,
     expectation_energy,
     optimize_parameters,

@@ -16,7 +16,8 @@ command itself.  Exit codes are part of the contract:
 
     0  success
     2  configuration error
-    3  breakdown: degenerate outputs (no variability in the extreme samples)
+    3  breakdown: degenerate outputs (no variability in the extreme samples),
+       or a GEV fit that fails from every start
     4  breakdown: unreachable target (zero success probability)
     5  I/O error
     6  output directory locked by another invocation
@@ -40,6 +41,7 @@ from .errors import (
     ConfigError,
     DegenerateSamplesError,
     EstimationImpossibleError,
+    FitFailureError,
     InstanceFormatError,
     OutputLockedError,
     QevtError,
@@ -299,10 +301,10 @@ def main(argv=None) -> int:
     except OutputLockedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOCKED
+    except (DegenerateSamplesError, FitFailureError) as exc:
+        print(f"breakdown: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
     except (ConfigError, InstanceFormatError, ValueError) as exc:
-        if isinstance(exc, DegenerateSamplesError):
-            print(f"breakdown: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EstimationImpossibleError as exc:

@@ -450,11 +450,16 @@ def fit_gev_minima_batch(samples_list) -> list:
             )
             continue
         y = -values
-        spread = float(y.std(ddof=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # data near the limit, or NaN
+            spread = float(y.std(ddof=1))
         if spread == 0.0:
             results[i] = DegenerateSamplesError("samples have zero variance")
-            continue
-        by_size.setdefault(y.size, []).append((i, y, spread))
+        elif not math.isfinite(spread):
+            results[i] = FitFailureError(
+                f"GEV fit failed from all {len(FIT_XI_STARTS)} starts",
+                diagnostics=[f"not run: sample spread {spread}"] * len(FIT_XI_STARTS))
+        else:
+            by_size.setdefault(y.size, []).append((i, y, spread))
 
     n_starts = len(FIT_XI_STARTS)
     for entries in by_size.values():

@@ -616,7 +616,7 @@ def run_validate(
         curve.append({"delta": delta, "runs": runs_count, "ratio": float(hits.mean()),
                       "exact_ratio": run_hit_probability(log_miss, shots_s * runs_count)})
 
-    tag = f"s{shots_s}_a{int(round(alpha * 100))}"
+    tag = f"s{shots_s}_a{alpha * 100:g}"
     write_csv(
         out / f"validate_{tag}.csv",
         ["delta", "runs", "ratio", "exact_ratio"],

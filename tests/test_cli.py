@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -486,6 +487,22 @@ class TestValidateCommand:
         assert from_cli == json.loads(json.dumps(direct))
         assert min(point["ratio"] for point in from_cli["curve"]) < 1.0
 
+    def test_each_alpha_writes_its_own_files(self, tmp_path):
+        # 0.995 and 0.999 both round to a100; each needs its own tag
+        assert main([
+            "estimate", "--n", "8", "--instance-seed", "1", "--shots", "20", "--runs", "30",
+            "--alpha", "0.995", "0.999", "--seed", "1", "--out-dir", str(tmp_path),
+        ]) == EXIT_OK
+        for alpha in ("0.995", "0.999"):
+            assert main(["validate", "--shots", "20", "--alpha", alpha, "--trials", "20",
+                         "--seed", "1", "--out-dir", str(tmp_path)]) == EXIT_OK
+        for alpha, tag in ((0.995, "a99.5"), (0.999, "a99.9")):
+            payload = json.loads((tmp_path / f"validate_s20_{tag}.json").read_text())
+            assert payload["alpha"] == alpha
+            assert (tmp_path / f"validate_s20_{tag}.csv").exists()
+            assert (tmp_path / f"validate_s20_{tag}.svg").exists()
+        assert not list(tmp_path.glob("validate_s20_a100.*"))
+
     def test_report_without_instance_json(self, estimate_dir, tmp_path):
         # validate reads the report alone, so no instance source is needed
         out, cfg, _ = estimate_dir
@@ -688,6 +705,22 @@ class TestSampleSizeCommand:
             main(["sample-size", "--pool", str(pool_csv), "--n", "10", "--seed", "3",
                   "--out-dir", str(tmp_path / "out"), *extra])
         assert seen == [SampleSizeConfig(seed=derive_seed(3, "sample-size"))]
+
+    def test_a_fit_failed_from_every_start_is_a_breakdown(self, tmp_path, capsys):
+        # finite energies near 1e300 overflow the spread the starts are built
+        # from; the reference fit fails, exit 3, with no numpy warning
+        pool = tmp_path / "big.csv"
+        energies = [repr(1e300 * (1 + i / 1000)) for i in range(300)]
+        pool.write_text("\n".join(["min_energy", *energies]) + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sample-size", "--pool", str(pool), "--n-max", "60", "--stride", "20",
+                         "--inner-draws", "8", "--outer-reps", "1", "--out-dir", str(out)])
+        assert code == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert err == "breakdown: GEV fit failed from all 5 starts\n"
+        assert not out.exists()
 
     def test_deterministic_json(self, tmp_path, pool_csv):
         args = [

@@ -1,6 +1,7 @@
 """Extreme-value law: CDF/quantile, jitter, ML fitting, run-count estimates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -465,10 +466,15 @@ class TestBatchFitMatchesScipy:
         nan_lane = JitteredSamples(values=np.r_[np.arange(25.0), np.nan], delta=1.0, seed=0)
         constant = JitteredSamples(values=np.full(30, 2.0), delta=1.0, seed=0)
         short = JitteredSamples(values=np.arange(10.0), delta=1.0, seed=0)
-        samples = [ok[0], nan_lane, constant, ok[1], short]
-        got = fit_gev_minima_batch(samples)
-        assert isinstance(got[1], FitFailureError)
-        assert len(got[1].diagnostics) == len(FIT_XI_STARTS)
+        # finite, but its squared deviations overflow: no start is run, no warning
+        huge = JitteredSamples(values=1e300 * (1 + np.arange(30) / 1000), delta=1.0, seed=0)
+        samples = [ok[0], nan_lane, constant, ok[1], short, huge]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fit_gev_minima_batch(samples)
+        for failed in (got[1], got[5]):
+            assert isinstance(failed, FitFailureError)
+            assert len(failed.diagnostics) == len(FIT_XI_STARTS)
         assert isinstance(got[2], DegenerateSamplesError)
         assert isinstance(got[4], InsufficientSamplesError)
         assert_same_fits([got[0], got[3]], [fit_gev_minima(ok[0]), fit_gev_minima(ok[1])])

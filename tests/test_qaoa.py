@@ -16,7 +16,7 @@ from qevt.qaoa import (
     OptimizerConfig,
     QaoaParams,
     RunMinimumLaw,
-    apply_mixer_layer,
+    _pair_map,
     circuit_law,
     circuit_state,
     collect_extreme_samples,
@@ -90,19 +90,26 @@ class TestInitialState:
         assert state.tobytes() == expected.tobytes()  # signed zeros too
 
 
+def mixer_layer(state, beta):
+    """e^{-i beta X} per qubit by the pair kernel, on a copy."""
+    out = state.copy()
+    _pair_map(out, np.cos(beta), -1j * np.sin(beta))
+    return out
+
+
 class TestMixerLayer:
     def test_zero_angle_identity(self):
         state = random_state(4, 7)
-        assert np.allclose(apply_mixer_layer(state, 0.0), state)
+        assert np.allclose(mixer_layer(state, 0.0), state)
 
     def test_half_pi_flips_single_qubit(self):
-        out = apply_mixer_layer(np.array([1.0 + 0j, 0.0]), np.pi / 2)
+        out = mixer_layer(np.array([1.0 + 0j, 0.0]), np.pi / 2)
         assert np.allclose(out, [0.0, -1j])
 
     def test_unitarity(self):
         state = random_state(6, 11)
         for beta in (0.3, -1.2, 2.9):
-            state = apply_mixer_layer(state, beta)
+            state = mixer_layer(state, beta)
         assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -162,7 +169,7 @@ class TestPairKernel:
     @example(n=16, beta=-np.pi / 2, seed=2)
     def test_mixer_matches_the_reshape_mixer(self, n, beta, seed):
         state = random_state(n, seed)
-        assert np.array_equal(apply_mixer_layer(state, beta), reference_mixer_layer(state, beta))
+        assert np.array_equal(mixer_layer(state, beta), reference_mixer_layer(state, beta))
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -200,7 +207,7 @@ class TestExpectation:
         inst = generate_synthetic_q(6, seed=4)
         model = to_ising(inst)
         state = prepare_initial_state(6, "plus")
-        assert expectation_energy(state, model) == pytest.approx(
+        assert expectation_energy(state, ising_energy_table(model)) == pytest.approx(
             energy_table(inst).mean(), abs=1e-9
         )
 
@@ -210,14 +217,16 @@ class TestExpectation:
         table = energy_table(inst)
         state = np.zeros(16, dtype=np.complex128)
         state[5] = 1.0
-        assert expectation_energy(state, model) == pytest.approx(table[5], abs=1e-12)
+        value = expectation_energy(state, ising_energy_table(model))
+        assert value == pytest.approx(table[5], abs=1e-12)
 
     def test_random_state_matches_enumeration_oracle(self):
         inst = generate_synthetic_q(8, seed=1)
         model = to_ising(inst)
         state = random_state(8, 2)
-        expected = float(np.sum(np.abs(state) ** 2 * ising_energy_table(model)))
-        assert expectation_energy(state, model) == pytest.approx(expected, abs=1e-10)
+        table = ising_energy_table(model)
+        expected = float(np.sum(np.abs(state) ** 2 * table))
+        assert expectation_energy(state, table) == pytest.approx(expected, abs=1e-10)
 
 
 class TestCircuit:
@@ -259,13 +268,14 @@ class TestOptimizer:
         inst = QuboInstance(n=3, q=np.zeros((3, 3)), k=0, penalty_weight=0.0)
         params = optimize_parameters(inst, 2, OptimizerConfig(restarts=2, maxiter=30, seed=0))
         model = to_ising(inst)
-        assert expectation_energy(circuit_state(model, params), model) == pytest.approx(0.0, abs=1e-9)
+        value = expectation_energy(circuit_state(model, params), ising_energy_table(model))
+        assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_never_worse_than_zero_angles(self):
         inst = generate_synthetic_q(6, seed=42)
         model = to_ising(inst)
         params = optimize_parameters(inst, 3, OptimizerConfig(restarts=10, maxiter=80, seed=0))
-        optimized = expectation_energy(circuit_state(model, params), model)
+        optimized = expectation_energy(circuit_state(model, params), ising_energy_table(model))
         uniform_mean = energy_table(inst).mean()
         assert optimized <= uniform_mean + 1e-9
 
@@ -304,7 +314,8 @@ class TestOptimizer:
         values = []
         for variant in ("plus", "minus"):
             params = optimize_parameters(inst, 3, OptimizerConfig(restarts=1, initial_state=variant))
-            values.append(expectation_energy(circuit_state(model, params, variant), model))
+            values.append(expectation_energy(circuit_state(model, params, variant),
+                                             ising_energy_table(model)))
         assert values[0] == pytest.approx(values[1], abs=1e-9)
         assert values[1] < energy_table(inst).mean() - 1.0
 
@@ -313,6 +324,44 @@ class TestOptimizer:
         params = optimize_parameters(inst, 3, OptimizerConfig(restarts=5, maxiter=60, seed=2))
         assert np.all(np.abs(params.gammas) <= np.pi + 1e-9)
         assert np.all(np.abs(params.betas) <= np.pi / 2 + 1e-9)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(3, 8),
+        depth=st.integers(1, 3),
+        restarts=st.integers(1, 3),
+        maxiter=st.integers(1, 20),
+        variant=st.sampled_from(["plus", "minus"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_never_worse_than_any_start(self, n, depth, restarts, maxiter, variant, seed):
+        # the candidates are the zero angles and the end points only, which
+        # rests on L-BFGS-B never ending above its start: record every start
+        import scipy.optimize
+
+        inst = generate_synthetic_q(n, seed=seed)
+        model = to_ising(inst)
+        energies = ising_energy_table(model)
+
+        def value(angles):
+            params = QaoaParams(depth, angles[:depth], angles[depth:])
+            return expectation_energy(circuit_state(model, params, variant, energies), energies)
+
+        starts = []
+        minimize = scipy.optimize.minimize
+
+        def recording_minimize(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0, dtype=np.float64))
+            return minimize(fun, x0, *args, **kwargs)
+
+        cfg = OptimizerConfig(restarts=restarts, maxiter=maxiter, seed=seed, initial_state=variant)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.optimize, "minimize", recording_minimize)
+            params = optimize_parameters(inst, depth, cfg)
+        tuned = value(np.concatenate([params.gammas, params.betas]))
+        assert len(starts) == restarts
+        assert tuned <= value(np.zeros(2 * depth))
+        assert all(tuned <= value(x0) for x0 in starts)
 
 
 def random_model(n, seed):
@@ -344,8 +393,8 @@ class TestGradient:
         model, params = random_model(n, seed), self.params(depth, seed)
         energies = ising_energy_table(model)
         value, _ = expectation_and_gradient(model, params, variant, energies)
-        assert value == expectation_energy(circuit_state(model, params, variant, energies),
-                                           model, energies)
+        state = circuit_state(model, params, variant, energies)
+        assert value == expectation_energy(state, energies)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(**CASES)
@@ -357,7 +406,7 @@ class TestGradient:
 
         def value(x):
             state = circuit_state(model, QaoaParams(depth, x[:depth], x[depth:]), variant, energies)
-            return expectation_energy(state, model, energies)
+            return expectation_energy(state, energies)
 
         step = h * np.eye(2 * depth)
         central = [(value(angles + e) - value(angles - e)) / (2 * h) for e in step]
@@ -372,8 +421,8 @@ class TestGradient:
         # X eigenstate, so a gradient method started at zero stops there: the
         # optimizer's first start is a ramp
         model = random_model(n, seed)
-        _, grad = expectation_and_gradient(
-            model, QaoaParams(depth, np.zeros(depth), np.zeros(depth)), variant)
+        zeros = QaoaParams(depth, np.zeros(depth), np.zeros(depth))
+        _, grad = expectation_and_gradient(model, zeros, variant, ising_energy_table(model))
         assert np.all(np.abs(grad) < 1e-12)
 
 
@@ -391,7 +440,8 @@ def reference_cobyla_parameters(inst, depth_p, cfg):
 
     def objective(angles):
         params = QaoaParams(depth_p, angles[:depth_p], angles[depth_p:])
-        return expectation_energy(circuit_state(model, params, cfg.initial_state, energies), model, energies)
+        state = circuit_state(model, params, cfg.initial_state, energies)
+        return expectation_energy(state, energies)
 
     starts = [np.zeros(2 * depth_p)]
     if cfg.restarts > 1:
@@ -414,10 +464,11 @@ def reference_cobyla_parameters(inst, depth_p, cfg):
 def test_angles_never_worse_than_cobyla(n, seed, variant):
     inst = generate_synthetic_q(n, seed=seed)
     model = to_ising(inst)
+    energies = ising_energy_table(model)
     cfg = OptimizerConfig(restarts=2, maxiter=60, seed=seed, initial_state=variant)
 
     def value(params):
-        return expectation_energy(circuit_state(model, params, variant), model)
+        return expectation_energy(circuit_state(model, params, variant, energies), energies)
 
     assert value(optimize_parameters(inst, 3, cfg)) <= (
         value(reference_cobyla_parameters(inst, 3, cfg)) + 1e-9)
